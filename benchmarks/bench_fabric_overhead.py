@@ -1,8 +1,8 @@
 """Fabric-overhead guard: supervision must stay cheap per cell.
 
 The job fabric wraps every grid cell in lease journaling, fault
-planning, retry bookkeeping and (in parallel mode) queue/steal
-machinery.  None of that may cost meaningful time against the cells it
+planning, retry bookkeeping and (in parallel mode) the shared
+work-queue machinery.  None of that may cost meaningful time against the cells it
 supervises — a suite of thousands of sub-second cells would otherwise
 pay a visible tax.  This module times a batch of trivially small tasks
 three ways:

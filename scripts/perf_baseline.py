@@ -83,9 +83,9 @@ def use_backend(name: str) -> Iterator[kernels.Backend]:
 
 
 def collect_backends() -> dict[str, dict]:
-    """Metadata plus measured JIT warm-up time per loadable backend.
+    """Metadata plus measured warm-up time per loadable backend.
 
-    Warm-up (numba compilation or the one-off C build) runs here, once,
+    Warm-up (the one-off C build of the cext backend) runs here, once,
     before any timed arm, so the timed runs never include it; the cost
     is recorded instead of hidden.
     """

@@ -2,7 +2,7 @@
 
 The three measured bottlenecks of a fit — the Laplacian convolution
 responses, the six-region binomial significance test, and the β-cluster
-box-exclusion scan — run through one of several interchangeable
+box-exclusion scan — run through one of two interchangeable
 backends, all operating on the structure-of-arrays level views of
 :mod:`repro.core.kernels.soa`:
 
@@ -10,17 +10,14 @@ backends, all operating on the structure-of-arrays level views of
     The vectorised reference implementation and the reproduction's
     **bit-identity oracle** (:mod:`repro.core.kernels.reference`).
     Always available; always correct.
-``numba``
-    ``@njit(cache=True)`` over the loop bodies in
-    :mod:`repro.core.kernels.loops`; available when the optional
-    ``[speed]`` extra is installed.
 ``cext``
-    The same loop bodies as C, compiled on first use with the system
-    C compiler (:mod:`repro.core.kernels.cext_backend`).
+    The one compiled backend: the loop bodies of
+    :mod:`repro.core.kernels.loops` as C, compiled on first use with
+    the system C compiler (:mod:`repro.core.kernels.cext_backend`).
 
 Selection is driven by ``REPRO_BACKEND`` (parsed by
-:func:`repro.env.backend_from_env`): ``auto`` — the default — picks the
-first available of numba, cext, numpy; naming a backend demands exactly
+:func:`repro.env.backend_from_env`): ``auto`` — the default — picks
+cext when it builds and numpy otherwise; naming a backend demands exactly
 that one and raises a :class:`BackendUnavailableError` carrying the
 probe's reason when it cannot load.  The oracle policy is structural:
 compiled backends either compute integer quantities exactly (responses,
@@ -38,7 +35,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from repro import env
-from repro.core.kernels import cext_backend, numba_backend, reference
+from repro.core.kernels import cext_backend, reference
 from repro.core.kernels.soa import LevelSoA, level_soa
 from repro.types import FloatArray, IntArray
 
@@ -97,18 +94,16 @@ def _load_numpy() -> Backend:
     )
 
 
-def _load_optional(loader: Callable[[], dict[str, object]]) -> Backend:
-    spec = loader()
-    return Backend(**spec)  # type: ignore[arg-type]
+def _load_cext() -> Backend:
+    return Backend(**cext_backend.load())  # type: ignore[arg-type]
 
 
 _LOADERS: dict[str, Callable[[], Backend]] = {
     "numpy": _load_numpy,
-    "numba": lambda: _load_optional(numba_backend.load),
-    "cext": lambda: _load_optional(cext_backend.load),
+    "cext": _load_cext,
 }
 
-_AUTO_ORDER = ("numba", "cext", "numpy")
+_AUTO_ORDER = ("cext", "numpy")
 
 _loaded: dict[str, Backend] = {}
 _probe_failures: dict[str, str] = {}
@@ -154,7 +149,7 @@ def available_backends() -> tuple[str, ...]:
 def active_backend() -> Backend:
     """The backend the ``REPRO_BACKEND`` knob selects (cached).
 
-    ``auto`` degrades along numba → cext → numpy; an explicit name must
+    ``auto`` degrades from cext to numpy; an explicit name must
     load or the error names the backend and the reason.  The resolution
     is cached per requested value, so flipping the environment variable
     mid-process takes effect on the next kernel call.
@@ -199,7 +194,7 @@ def backend_info() -> dict[str, object]:
 
 
 def warm_up(backend: Backend) -> None:
-    """Exercise every kernel once on tiny inputs (JIT warm-up).
+    """Exercise every kernel once on tiny inputs (build warm-up).
 
     Benchmarks call this before timing so one-off compilation cost is
     reported separately instead of polluting the measured runs.

@@ -1,7 +1,7 @@
 """The cext backend: the loop kernels as C, built with the system cc.
 
-A fallback compiled backend for machines without numba but with any C
-compiler on ``PATH`` (gcc/cc/clang): the kernel bodies from
+The package's one compiled backend, for any machine with a C compiler
+on ``PATH`` (gcc/cc/clang): the kernel bodies from
 :mod:`repro.core.kernels.loops` are transliterated statement for
 statement into C, compiled once into a content-addressed shared object
 under the system temporary directory, and bound through :mod:`ctypes`.

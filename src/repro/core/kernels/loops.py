@@ -1,12 +1,15 @@
-"""Loop-form kernel bodies shared by the compiled backends.
+"""Loop-form kernel bodies: the executable specification of the C code.
 
-Every function here is written in the restricted, ``nopython``-jittable
-dialect — flat ``for`` loops over contiguous int64/float64 buffers, no
-helper calls, no Python objects — so the numba backend can compile them
-unchanged (``numba.njit(cache=True)`` over these exact functions) while
-the test suite exercises the *same* bodies interpreted, keeping the
-compiled semantics covered even on machines without numba.  The C
-backend mirrors these algorithms statement for statement.
+Every function here is written in a restricted, C-shaped dialect — flat
+``for`` loops over contiguous int64/float64 buffers, no helper calls,
+no Python objects — and the C backend
+(:mod:`repro.core.kernels.cext_backend`) mirrors these algorithms
+statement for statement.  No production path calls this module; it
+exists to be checked.  The test suite runs it interpreted as a
+pseudo-backend against the numpy oracle, and the analyzer's A502/A503
+passes compare the C loop skeletons and ``#define`` constants against
+it, so a C edit that drifts from the spec fails statically even before
+the Hypothesis bit-identity suite runs.
 
 Three structural facts the kernels exploit:
 

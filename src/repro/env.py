@@ -8,11 +8,11 @@ for the hot-path kernels — see :mod:`repro.core.kernels`),
 ``REPRO_PROFILE`` (``quick``/``full`` tuning grids), ``REPRO_CONTRACTS``
 (toggle for the O(n) data-scan half of the runtime contracts),
 ``REPRO_TRACE`` (the observability layer: off, on, or on plus a JSON
-export path), the resilience knobs ``REPRO_RETRIES`` /
+export path), the fabric knobs ``REPRO_RETRIES`` /
 ``REPRO_TASK_TIMEOUT`` / ``REPRO_BACKOFF`` / ``REPRO_FAULTS`` (per-cell
 retry budget, per-attempt deadline in seconds, exponential-backoff base
 and the deterministic fault-injection spec consumed by
-``repro.resilience``) and the serving knobs ``REPRO_MODEL_DIR`` /
+``repro.fabric``) and the serving knobs ``REPRO_MODEL_DIR`` /
 ``REPRO_SERVE_BATCH`` / ``REPRO_SERVE_DELAY`` / ``REPRO_SERVE_CACHE``
 (model lookup directory, micro-batch point budget, batching delay
 window and per-process model LRU capacity for ``repro.serve``).  Every read goes through this module so that bad
@@ -86,7 +86,7 @@ def profile_from_env(default: str = "quick") -> str:
     return profile
 
 
-KNOWN_BACKENDS = ("auto", "numpy", "numba", "cext")
+KNOWN_BACKENDS = ("auto", "numpy", "cext")
 """Values ``REPRO_BACKEND`` accepts; everything else is a named error."""
 
 
@@ -94,12 +94,11 @@ def backend_from_env(default: str = "auto") -> str:
     """Requested compute backend for the hot-path kernels (``REPRO_BACKEND``).
 
     ``auto`` (the default) lets :mod:`repro.core.kernels` pick the
-    fastest backend that is importable on this machine (numba, then the
-    gcc-compiled C extension, then numpy); ``numpy`` forces the
-    bit-identity oracle; ``numba``/``cext`` demand that specific
-    compiled backend and fail loudly at selection time when it is
-    unavailable.  Values are case-insensitive and whitespace-tolerant;
-    unset or blank means ``default``.
+    compiled C extension when it builds on this machine and numpy
+    otherwise; ``numpy`` forces the bit-identity oracle; ``cext``
+    demands the compiled backend and fails loudly at selection time
+    when it is unavailable.  Values are case-insensitive and
+    whitespace-tolerant; unset or blank means ``default``.
     """
     raw = os.environ.get("REPRO_BACKEND", "").strip().lower()
     if not raw:
@@ -107,7 +106,7 @@ def backend_from_env(default: str = "auto") -> str:
     if raw not in KNOWN_BACKENDS:
         raise ValueError(
             f"REPRO_BACKEND must be one of {'/'.join(KNOWN_BACKENDS)} "
-            f"(e.g. REPRO_BACKEND=numba), got {raw!r}"
+            f"(e.g. REPRO_BACKEND=cext), got {raw!r}"
         )
     return raw
 

@@ -38,7 +38,7 @@ def run_real_data_table(
 ) -> list[dict]:
     """Rows of the Figure 5t table on the simulated KDD Cup 2008 data.
 
-    Runs under the resilience supervisor (one method blowing up on the
+    Runs under the fabric supervisor (one method blowing up on the
     real data yields an error row, not an aborted table) and forwards
     ``journal``/``resume`` for checkpointed runs.
     """

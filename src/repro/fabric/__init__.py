@@ -8,10 +8,10 @@ offline tier).  Six pieces, each usable on its own:
   deadlines, worker deaths), lease-based exactly-once dispatch,
   seeded retry with deterministic backoff, and graceful degradation
   into structured error rows;
-* :mod:`repro.fabric.queue` — the pooled work queue with
-  deterministic tail stealing across ``REPRO_JOBS`` slots;
+* :mod:`repro.fabric.queue` — the shared FIFO work queue every idle
+  ``REPRO_JOBS`` slot pulls from;
 * :mod:`repro.fabric.journal` — the append-fsync JSONL run journal
-  (schema v2: cell/lease/heartbeat/steal) behind checkpoint-resume,
+  (schema v2: cell/lease/heartbeat) behind checkpoint-resume,
   with a writer lock against concurrent appenders;
 * :mod:`repro.fabric.sharding` — ``--shard i/n`` deterministic grid
   slicing and the ``fabric merge`` journal combiner;
@@ -20,9 +20,7 @@ offline tier).  Six pieces, each usable on its own:
 * :mod:`repro.fabric.faults` — the deterministic fault-injection
   harness (``REPRO_FAULTS``) the chaos tests drive.
 
-``experiments.runner`` wires these under ``run_suite``;
-``repro.resilience`` remains as a thin compatibility shim over this
-package.
+``experiments.runner`` wires these under ``run_suite``.
 """
 
 from repro.fabric.faults import (

@@ -2,7 +2,7 @@
 
 A long run writes one record per journal-worthy event to a single
 file, flushed and fsynced per line so a crash loses at most the
-in-flight cells.  Schema v2 records four kinds beyond the header:
+in-flight cells.  Schema v2 writes three kinds beyond the header:
 
 ``cell``
     A *terminal* cell outcome (ok, retried, failed, timeout or
@@ -11,7 +11,8 @@ in-flight cells.  Schema v2 records four kinds beyond the header:
     dangling lease.
 ``lease``
     An attempt was dispatched: the cell key, the 0-based attempt, the
-    pool that ran it and the per-attempt deadline (seconds, or null).
+    slot that ran it (as ``pool``) and the per-attempt deadline
+    (seconds, or null).
     A lease with no later ``cell`` record for its key is *expired* —
     the worker died or the run was interrupted mid-cell — and the cell
     is re-issued on resume.
@@ -20,8 +21,10 @@ in-flight cells.  Schema v2 records four kinds beyond the header:
     committed/running/total counts plus a snapshot of the ``fabric.*``
     obs counters when tracing is on.  ``fabric status`` tails these.
 ``steal``
-    A slot drained its own pool and stole a task from another pool's
-    tail (the key and both pool indices).
+    Legacy and read-only: journals written while the work queue still
+    stole between per-slot pools carry these (the key and both pool
+    indices).  Nothing writes them now; the reader still validates
+    them so those journals keep loading.
 
 Operational records (lease/heartbeat/steal) never influence a resumed
 table — :func:`load_journal` indexes commits only — so the resumed
@@ -170,7 +173,7 @@ def validate_record(record: Any) -> dict[str, Any]:
         if not isinstance(record["counters"], dict):
             _fail("heartbeat counters must be an object")
         return record
-    # steal
+    # steal: legacy, read-only (see the module docstring)
     if set(record) != _STEAL_KEYS:
         _fail(
             f"steal record keys mismatch: expected {sorted(_STEAL_KEYS)}, "
@@ -347,19 +350,6 @@ class RunJournal:
                 "running": running,
                 "total": total,
                 "counters": dict(counters),
-            }
-        )
-        self._append(record)
-
-    def record_steal(self, key: str, from_pool: int, to_pool: int) -> None:
-        """Append a work-steal record: ``to_pool`` took ``key``."""
-        record = validate_record(
-            {
-                "schema": JOURNAL_SCHEMA_VERSION,
-                "kind": "steal",
-                "key": key,
-                "from_pool": from_pool,
-                "to_pool": to_pool,
             }
         )
         self._append(record)

@@ -1,27 +1,19 @@
-"""The fabric work queue: pooled task ids with deterministic stealing.
+"""The fabric work queue: one shared FIFO of pending task attempts.
 
 Tasks enter the queue as plain integer ids (indices into the caller's
-task list — the queue never sees payloads) and are partitioned
-round-robin across ``n_pools`` pools: task ``i`` lives in pool
-``i % n_pools``.  Each consumer slot drains its own pool FIFO; a slot
-whose pool is empty *steals* from the tail of the largest other pool,
-so one pool of slow cells cannot strand the other slots idle.
-
-Everything is deterministic: the partition is a pure function of the
-task index, the victim pool is the one with the most runnable entries
-(lowest index on ties), and the stolen entry is the victim's last
-runnable one.  Stealing reorders *execution*, never results — the
-supervisor reduces outcomes in task order regardless of which slot ran
-what — so a stolen run stays bit-identical to an unstolen one.
+task list — the queue never sees payloads) in task order, and any idle
+consumer slot takes the oldest runnable entry.  Which slot runs which
+cell is an execution detail, never a result: the supervisor reduces
+outcomes in task order, so every schedule yields the same table.
 
 Entries carry a ``not_before`` release time for retry backoff; an
-entry still in backoff is invisible to both its own pool's FIFO scan
-and to thieves.
+entry still in backoff is invisible to ``take`` until it is released,
+and the entries behind it keep flowing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["QueueEntry", "WorkQueue"]
 
@@ -35,79 +27,33 @@ class QueueEntry:
     not_before: float = 0.0
 
 
-@dataclass
-class _Pool:
-    entries: list[QueueEntry] = field(default_factory=list)
-
-    def runnable(self, now: float) -> int:
-        return sum(1 for entry in self.entries if entry.not_before <= now)
-
-
 class WorkQueue:
-    """Pooled pending-attempt queue with tail stealing.
+    """Shared pending-attempt FIFO that skips entries in backoff.
 
-    ``push`` routes an entry to its home pool (``task_index %
-    n_pools``); ``take(pool, now)`` prefers the slot's own pool and
-    falls back to stealing.  The queue is single-threaded by design —
-    the supervisor's event loop is the only caller — so no locking.
+    The queue is single-threaded by design — the supervisor's event
+    loop is the only caller — so no locking.
     """
 
-    def __init__(self, n_pools: int) -> None:
-        if n_pools < 1:
-            raise ValueError(f"n_pools must be >= 1, got {n_pools}")
-        self._pools = [_Pool() for _ in range(n_pools)]
-
-    @property
-    def n_pools(self) -> int:
-        return len(self._pools)
+    def __init__(self) -> None:
+        self._entries: list[QueueEntry] = []
 
     def __len__(self) -> int:
-        return sum(len(pool.entries) for pool in self._pools)
+        return len(self._entries)
 
     def push(self, entry: QueueEntry) -> None:
-        """Queue an attempt in its home pool (FIFO append)."""
-        self._pools[entry.task_index % len(self._pools)].entries.append(entry)
+        """Queue an attempt at the back of the FIFO."""
+        self._entries.append(entry)
 
-    def take(self, pool_index: int, now: float) -> tuple[QueueEntry, int] | None:
-        """Next attempt for a slot: own pool first, then steal.
-
-        Returns ``(entry, home_pool)`` — the caller journals a steal
-        record when ``home_pool != pool_index`` — or ``None`` when no
-        pool has a runnable entry (everything left is in backoff or
-        in flight).
-        """
-        own = self._pools[pool_index]
-        for position, entry in enumerate(own.entries):
+    def take(self, now: float) -> QueueEntry | None:
+        """The oldest entry released by ``now``, or ``None`` when every
+        queued entry is still in backoff (or the queue is empty)."""
+        for position, entry in enumerate(self._entries):
             if entry.not_before <= now:
-                del own.entries[position]
-                return entry, pool_index
-        victim_index = self._victim(pool_index, now)
-        if victim_index is None:
-            return None
-        victim = self._pools[victim_index].entries
-        for position in range(len(victim) - 1, -1, -1):
-            if victim[position].not_before <= now:
-                entry = victim.pop(position)
-                return entry, victim_index
-        raise AssertionError("victim pool lost its runnable entry")
-
-    def _victim(self, thief_index: int, now: float) -> int | None:
-        """The largest other pool with runnable work (lowest on ties)."""
-        best_index: int | None = None
-        best_count = 0
-        for index, pool in enumerate(self._pools):
-            if index == thief_index:
-                continue
-            count = pool.runnable(now)
-            if count > best_count:
-                best_index, best_count = index, count
-        return best_index
+                del self._entries[position]
+                return entry
+        return None
 
     def earliest_release(self) -> float | None:
         """Soonest ``not_before`` across every queued entry."""
-        times = [
-            entry.not_before
-            for pool in self._pools
-            for entry in pool.entries
-        ]
+        times = [entry.not_before for entry in self._entries]
         return min(times) if times else None

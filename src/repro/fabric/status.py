@@ -3,8 +3,9 @@
 A long sharded run is opaque without this: the journal is the single
 source of truth for what a (possibly remote, possibly dead) run has
 done, and ``fabric status`` renders it without touching the run —
-committed cells by status, in-flight leases (a lease with no commit),
-work steals, and the most recent heartbeat with its progress counts.
+committed cells by status, in-flight leases (a lease with no commit)
+and the most recent heartbeat with its progress counts.  Legacy
+``steal`` records in older journals load but are not shown.
 
 Everything here is read-only and tolerant of a live writer: the
 journal loader already drops a torn final line, which is exactly the
@@ -30,7 +31,6 @@ def journal_status(path: str | Path) -> dict[str, Any]:
     meta: dict[str, Any] = {}
     statuses = dict.fromkeys(_STATUS_ORDER, 0)
     committed: set[str] = set()
-    steals = 0
     last_heartbeat: dict[str, Any] | None = None
     for record in records:
         kind = record["kind"]
@@ -43,8 +43,6 @@ def journal_status(path: str | Path) -> dict[str, Any]:
                 continue
             committed.add(record["key"])
             statuses[record["status"]] = statuses.get(record["status"], 0) + 1
-        elif kind == "steal":
-            steals += 1
         elif kind == "heartbeat":
             last_heartbeat = record
     leases = pending_leases(records)
@@ -56,7 +54,6 @@ def journal_status(path: str | Path) -> dict[str, Any]:
         "committed": len(committed),
         "statuses": statuses,
         "in_flight": sorted(leases),
-        "steals": steals,
         "heartbeat": last_heartbeat,
     }
 
@@ -80,8 +77,6 @@ def format_status(status: dict[str, Any]) -> str:
         if count
     )
     lines.append(f"status:  {counts or 'none yet'}")
-    if status["steals"]:
-        lines.append(f"steals:  {status['steals']}")
     in_flight = status["in_flight"]
     if in_flight:
         shown = ", ".join(in_flight[:4])

@@ -1,4 +1,4 @@
-"""Task supervision: leases, deadlines, retries, stealing, resume.
+"""Task supervision: leases, deadlines, retries, resume.
 
 The experiment grid is a long list of independent cells; one cell
 raising, hanging or taking its worker process down must cost exactly
@@ -18,19 +18,19 @@ Parallel (``n_jobs > 1``)
     in-flight cell is disturbed.  A cell past its deadline gets its
     slot's worker killed the same way.  (A single shared pool cannot do
     this: one ``os._exit`` breaks every in-flight future at once.)
-    Tasks are partitioned across a :class:`~repro.fabric.queue.WorkQueue`
-    of ``n_jobs`` pools; a slot that drains its own pool steals from
-    the largest other pool so a skewed shard cannot strand idle slots.
+    Pending attempts wait in one shared
+    :class:`~repro.fabric.queue.WorkQueue` FIFO that every idle slot
+    pulls from, so a run of slow cells cannot strand the other slots.
 
 Exactly-once cells are enforced through the journal's lease protocol:
-every dispatched attempt appends a ``lease`` record (key, attempt,
-pool, deadline) before running, and every terminal outcome appends a
-``cell`` commit.  A lease with no commit — the run was killed mid-cell
-— is *expired*: on resume the cell is simply absent from the resume
-index and re-issued, while a committed record always wins over any
-late duplicate (resume replays it without re-executing).  Periodic
-``heartbeat`` records (``REPRO_HEARTBEAT`` seconds) carry progress
-counts for ``fabric status``.
+every dispatched attempt appends a ``lease`` record (key, attempt, the
+slot index as ``pool``, deadline) before running, and every terminal
+outcome appends a ``cell`` commit.  A lease with no commit — the run
+was killed mid-cell — is *expired*: on resume the cell is simply absent
+from the resume index and re-issued, while a committed record always
+wins over any late duplicate (resume replays it without re-executing).
+Periodic ``heartbeat`` records (``REPRO_HEARTBEAT`` seconds) carry
+progress counts for ``fabric status``.
 
 Failed attempts retry up to ``retries`` times with exponential backoff
 (``backoff * 2**k`` seconds plus a deterministic jitter derived from
@@ -464,7 +464,7 @@ class _Supervisor:
     # -- parallel path -------------------------------------------------
 
     def run_parallel(self, n_jobs: int) -> None:
-        queue = WorkQueue(n_jobs)
+        queue = WorkQueue()
         for task_index in range(len(self._tasks)):
             if not self._resume_outcome(task_index):
                 queue.push(QueueEntry(task_index=task_index, attempt=0))
@@ -503,19 +503,11 @@ class _Supervisor:
     ) -> None:
         now = obs.perf_clock()
         while idle:
-            slot_index = idle[-1]
-            taken = queue.take(slot_index, now)
-            if taken is None:
+            entry = queue.take(now)
+            if entry is None:
                 return
-            idle.pop()
-            entry, home_pool = taken
+            slot_index = idle.pop()
             task = self._tasks[entry.task_index]
-            if home_pool != slot_index:
-                obs.incr("fabric.steals")
-                if self._journal is not None:
-                    self._journal.record_steal(
-                        key=task.key, from_pool=home_pool, to_pool=slot_index
-                    )
             self._lease(entry, pool=slot_index)
             future = slots[slot_index].submit(
                 self._worker,

@@ -20,7 +20,7 @@ Two pieces turn persisted models into a clustering *service*:
     row-wise pure, the labels are bit-identical no matter how requests
     were coalesced — the batch-invariance property suite asserts it.
 
-Failure semantics follow the resilience layer: a fault injected via
+Failure semantics follow the job fabric: a fault injected via
 ``REPRO_FAULTS`` (request keys look like ``serve|<model>|request<i>``)
 or a model that fails to load poisons only the affected requests —
 their futures carry the exception — while the worker loop and every

@@ -25,7 +25,7 @@ Array offsets are relative to the data section — whose start the reader
 derives as the first 64-byte boundary at or after the header — so the
 header never has to describe its own length.
 
-Like ``obs.schema`` and the resilience journal, the format is strictly
+Like ``obs.schema`` and the fabric journal, the format is strictly
 validated: wrong magic, a foreign schema version, a non-little byte
 order, an unexpected dtype, a truncated section or a malformed header
 all raise :class:`ModelFormatError` naming the problem, never a raw

@@ -123,6 +123,15 @@ class TestBackendFromEnv:
         with pytest.raises(ValueError, match="REPRO_BACKEND.*'fortran'"):
             backend_from_env()
 
+    def test_retired_backend_name_is_a_named_error(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "numba")
+        with pytest.raises(ValueError) as error:
+            backend_from_env()
+        message = str(error.value)
+        assert "auto/numpy/cext" in message
+        assert "REPRO_BACKEND=cext" in message
+        assert "'numba'" in message
+
 
 class TestContractsFromEnv:
     def test_unset_returns_default(self, monkeypatch):

@@ -60,40 +60,24 @@ def _kinds(path):
 
 
 class TestWorkQueue:
-    def test_own_pool_is_drained_fifo(self):
-        queue = WorkQueue(2)
-        for index in (0, 2, 4):  # all home in pool 0
+    def test_entries_leave_in_task_order(self):
+        queue = WorkQueue()
+        for index in (0, 1, 2):
             queue.push(QueueEntry(task_index=index, attempt=0))
-        assert queue.take(0, now=0.0) == (QueueEntry(0, 0), 0)
-        assert queue.take(0, now=0.0) == (QueueEntry(2, 0), 0)
+        assert queue.take(now=0.0) == QueueEntry(0, 0)
+        assert queue.take(now=0.0) == QueueEntry(1, 0)
         assert len(queue) == 1
 
-    def test_empty_slot_steals_from_the_largest_pool_tail(self):
-        queue = WorkQueue(3)
-        for index in (1, 4, 7, 2):  # pool 1 holds 1,4,7; pool 2 holds 2
-            queue.push(QueueEntry(task_index=index, attempt=0))
-        entry, home = queue.take(0, now=0.0)
-        assert home == 1  # the largest other pool...
-        assert entry.task_index == 7  # ...loses its newest entry
-
-    def test_victim_ties_break_to_the_lowest_pool(self):
-        queue = WorkQueue(3)
-        queue.push(QueueEntry(task_index=2, attempt=0))  # pool 2
-        queue.push(QueueEntry(task_index=1, attempt=0))  # pool 1
-        _, home = queue.take(0, now=0.0)
-        assert home == 1
-
     def test_backoff_entries_are_invisible_until_release(self):
-        queue = WorkQueue(2)
+        queue = WorkQueue()
         queue.push(QueueEntry(task_index=0, attempt=1, not_before=50.0))
-        assert queue.take(0, now=0.0) is None
-        assert queue.take(1, now=0.0) is None  # not stealable either
+        queue.push(QueueEntry(task_index=1, attempt=0))
+        # The entry in backoff is skipped; the one behind it still runs.
+        assert queue.take(now=0.0) == QueueEntry(1, 0)
+        assert queue.take(now=0.0) is None
         assert queue.earliest_release() == 50.0
-        assert queue.take(0, now=50.0) == (QueueEntry(0, 1, 50.0), 0)
-
-    def test_rejects_non_positive_pools(self):
-        with pytest.raises(ValueError, match="n_pools"):
-            WorkQueue(0)
+        assert queue.take(now=50.0) == QueueEntry(0, 1, 50.0)
+        assert len(queue) == 0
 
 
 class TestJournalLock:
@@ -445,9 +429,8 @@ class TestStatusView:
         ) as journal:
             journal.record_lease("a", 0, 0, None)
             journal.record_cell("a", "ok", 1, {"value": "a"}, None)
-            journal.record_steal("b", 1, 0)
-            journal.record_lease("b", 0, 0, None)
-            journal.record_heartbeat(1, 1, 3, {"fabric.steals": 1})
+            journal.record_lease("b", 0, 1, None)
+            journal.record_heartbeat(1, 1, 3, {"fabric.retries": 0})
         return path
 
     def test_journal_status_summarizes_progress(self, tmp_path):
@@ -456,7 +439,6 @@ class TestStatusView:
         assert status["committed"] == 1
         assert status["statuses"]["ok"] == 1
         assert status["in_flight"] == ["b"]
-        assert status["steals"] == 1
         assert status["heartbeat"]["done"] == 1
 
     def test_format_status_renders_every_section(self, tmp_path):
@@ -464,9 +446,74 @@ class TestStatusView:
         assert "shard:   0/2" in text
         assert "1/3 committed (33%)" in text
         assert "ok=1" in text
-        assert "steals:  1" in text
         assert "leased:  b" in text
         assert "done=1 running=1 total=3" in text
+
+
+#: A shard journal written while the work queue still stole between
+#: per-slot pools: schema v2 with ``steal`` records, which nothing
+#: writes any more but the reader must keep accepting.
+LEGACY_STEAL_JOURNAL = """\
+{"kind": "header", "meta": {"n_cells": 4, "profile": "quick", "shard": "0/2"}, "schema": 2}
+{"attempt": 0, "deadline": null, "key": "cell|a", "kind": "lease", "pool": 0, "schema": 2}
+{"from_pool": 0, "key": "cell|b", "kind": "steal", "schema": 2, "to_pool": 1}
+{"attempt": 0, "deadline": null, "key": "cell|b", "kind": "lease", "pool": 1, "schema": 2}
+{"attempts": 1, "error": null, "key": "cell|a", "kind": "cell", "row": {"value": "a"}, "schema": 2, "status": "ok"}
+{"attempts": 1, "error": null, "key": "cell|b", "kind": "cell", "row": {"value": "b"}, "schema": 2, "status": "ok"}
+{"from_pool": 1, "key": "cell|c", "kind": "steal", "schema": 2, "to_pool": 0}
+{"attempt": 0, "deadline": null, "key": "cell|c", "kind": "lease", "pool": 0, "schema": 2}
+{"counters": {}, "done": 2, "kind": "heartbeat", "running": 1, "schema": 2, "total": 4}
+"""
+
+
+class TestLegacyStealRecords:
+    """Old v2 journals with ``steal`` lines load, resume, show, merge."""
+
+    def _write(self, tmp_path, name, text=LEGACY_STEAL_JOURNAL):
+        path = tmp_path / name
+        path.write_text(text)
+        return path
+
+    def test_loads_and_resumes_bit_identically(self, tmp_path):
+        path = self._write(tmp_path, "legacy.jsonl")
+        assert _kinds(path).count("steal") == 2
+        index = _load_resume_index(path)
+        assert set(index) == {"cell|a", "cell|b"}
+        undisturbed = run_supervised(_unit_worker, _tasks("a", "b", "c"))
+        outcomes = run_supervised(
+            _unit_worker, _tasks("a", "b", "c"), resume=index
+        )
+        assert [o.resumed for o in outcomes] == [True, True, False]
+        assert [o.row for o in outcomes] == [o.row for o in undisturbed]
+
+    def test_status_renders_without_a_steal_line(self, tmp_path):
+        status = journal_status(self._write(tmp_path, "legacy.jsonl"))
+        assert status["committed"] == 2
+        assert status["in_flight"] == ["cell|c"]
+        assert "steals" not in status
+        text = format_status(status)
+        assert "2/4 committed (50%)" in text
+        assert "leased:  cell|c" in text
+        assert "steal" not in text
+
+    def test_merge_drops_steal_records(self, tmp_path):
+        legacy = self._write(tmp_path, "legacy.jsonl")
+        stripped = self._write(
+            tmp_path,
+            "stripped.jsonl",
+            "".join(
+                line
+                for line in LEGACY_STEAL_JOURNAL.splitlines(keepends=True)
+                if '"kind": "steal"' not in line
+            ),
+        )
+        s1 = _shard_journal(tmp_path, "s1.jsonl", "1/2", ["cell|d"])
+        merged = tmp_path / "from_legacy.jsonl"
+        reference = tmp_path / "from_stripped.jsonl"
+        merge_journals([legacy, s1], merged)
+        merge_journals([stripped, s1], reference)
+        assert merged.read_bytes() == reference.read_bytes()
+        assert _kinds(merged) == ["header"] + ["cell"] * 3
 
 
 SUITE_METHODS = ("MrCC", "LAC")

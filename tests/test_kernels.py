@@ -1,15 +1,15 @@
 """Cross-backend equivalence tests for the hot-path kernel layer.
 
-The compiled backends (numba when installed, the C extension whenever a
-system compiler exists) must be *bit-identical* to the numpy reference
-backend — not merely close.  This suite drives that contract three
-ways: hypothesis-generated level views exercise each kernel against the
+The compiled backend (the C extension, whenever a system compiler
+exists) must be *bit-identical* to the numpy reference backend — not
+merely close.  This suite drives that contract three ways:
+hypothesis-generated level views exercise each kernel against the
 oracle, a planted pipeline asserts identical β-clusters and labels end
 to end, and a traced fit asserts the obs counter stream is invariant
 under ``REPRO_BACKEND``.  The interpreted loop bodies
-(:mod:`repro.core.kernels.loops`) are tested as a pseudo-backend of
-their own, so the compiled semantics stay covered on machines where no
-compiled backend loads.
+(:mod:`repro.core.kernels.loops`), the executable spec of the C code,
+are tested as a pseudo-backend of their own, so the compiled semantics
+stay covered on machines where the C backend does not load.
 """
 
 import types
@@ -22,7 +22,7 @@ from scipy import stats
 
 from repro import obs
 from repro.core import kernels
-from repro.core.kernels import cext_backend, numba_backend
+from repro.core.kernels import cext_backend
 from repro.core.beta_cluster import find_beta_clusters
 from repro.core.counting_tree import CountingTree, void_keys
 from repro.core.hypothesis_test import critical_values
@@ -126,16 +126,21 @@ class TestBackendSelection:
         if COMPILED:
             assert backend.compiled
 
-    def test_unavailable_named_backend_carries_the_probe_reason(self):
-        missing = [
-            name for name in ("numba", "cext") if name not in AVAILABLE
-        ]
-        if not missing:
-            pytest.skip("every optional backend loads on this machine")
-        with pytest.raises(
-            kernels.BackendUnavailableError, match=missing[0]
-        ):
-            kernels.get_backend(missing[0])
+    def test_unavailable_named_backend_carries_the_probe_reason(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(cext_backend, "_LOADED", None)
+        monkeypatch.setattr(cext_backend, "_UNAVAILABLE_REASON", None)
+        monkeypatch.setattr(cext_backend.shutil, "which", lambda name: None)
+        kernels.reset_backends()
+        try:
+            with pytest.raises(
+                kernels.BackendUnavailableError,
+                match="'cext' is unavailable: no C compiler",
+            ):
+                kernels.get_backend("cext")
+        finally:
+            kernels.reset_backends()
 
     def test_backend_info_reports_the_active_selection(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
@@ -208,11 +213,6 @@ class TestCextFailurePaths:
         self, monkeypatch
     ):
         monkeypatch.setattr(cext_backend.shutil, "which", lambda name: None)
-
-        def no_numba():
-            raise ImportError("numba disabled for this test")
-
-        monkeypatch.setattr(numba_backend, "load", no_numba)
         monkeypatch.setenv("REPRO_BACKEND", "auto")
         backend = kernels.active_backend()
         assert backend.name == "numpy"

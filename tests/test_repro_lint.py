@@ -296,7 +296,7 @@ class TestR009ExceptionHandling:
         "    raise RuntimeError('context') from error\n"
     )
     GOOD_HANDLED = "try:\n    work()\nexcept KeyError:\n    value = None\n"
-    RESILIENCE_PATH = "src/repro/resilience/supervisor.py"
+    FABRIC_PATH = "src/repro/fabric/supervisor.py"
 
     def test_bare_except_fires(self):
         assert codes(self.BAD_BARE, path=CORE_PATH) == ["R009"]
@@ -316,8 +316,8 @@ class TestR009ExceptionHandling:
     def test_handled_fallback_is_clean(self):
         assert codes(self.GOOD_HANDLED, path=CORE_PATH) == []
 
-    def test_resilience_package_is_exempt(self):
-        assert codes(self.BAD_SWALLOW, path=self.RESILIENCE_PATH) == []
+    def test_fabric_package_is_exempt(self):
+        assert codes(self.BAD_SWALLOW, path=self.FABRIC_PATH) == []
 
     def test_tests_are_exempt(self):
         assert codes(self.BAD_SWALLOW, path=TEST_PATH) == []
@@ -332,46 +332,13 @@ class TestR009ExceptionHandling:
         assert codes(source, path=CORE_PATH) == []
 
 
-class TestR010NumbaImports:
-    BAD_IMPORT = "import numba\n"
-    BAD_FROM = "from numba import njit\n"
-    BAD_SUBMODULE = "import numba.core.types\n"
-    BAD_FROM_SUBMODULE = "from numba.core import types\n"
-    KERNELS_PATH = "src/repro/core/kernels/numba_backend.py"
-
-    def test_plain_import_fires(self):
-        assert codes(self.BAD_IMPORT, path=CORE_PATH) == ["R010"]
-
-    def test_from_import_fires(self):
-        assert codes(self.BAD_FROM, path=EXPERIMENTS_PATH) == ["R010"]
-
-    def test_submodule_import_fires(self):
-        assert codes(self.BAD_SUBMODULE, path=DATA_PATH) == ["R010"]
-
-    def test_from_submodule_fires(self):
-        assert codes(self.BAD_FROM_SUBMODULE, path=CORE_PATH) == ["R010"]
-
-    def test_kernels_package_is_exempt(self):
-        assert codes(self.BAD_FROM, path=self.KERNELS_PATH) == []
-
-    def test_tests_are_exempt(self):
-        assert codes(self.BAD_IMPORT, path=TEST_PATH) == []
-
-    def test_similar_prefix_is_clean(self):
-        assert codes("import numbats\n", path=CORE_PATH) == []
-
-    def test_line_suppression_silences_r010(self):
-        source = "import numba  # repro-lint: disable=R010\n"
-        assert codes(source, path=CORE_PATH) == []
-
-
 class TestR011CtypesImports:
     BAD_IMPORT = "import ctypes\n"
     BAD_FROM = "from ctypes import CDLL\n"
     BAD_SUBMODULE = "import ctypes.util\n"
     BAD_FROM_SUBMODULE = "from ctypes.util import find_library\n"
     CEXT_PATH = "src/repro/core/kernels/cext_backend.py"
-    KERNELS_PATH = "src/repro/core/kernels/numba_backend.py"
+    KERNELS_PATH = "src/repro/core/kernels/reference.py"
 
     def test_plain_import_fires(self):
         assert codes(self.BAD_IMPORT, path=CORE_PATH) == ["R011"]
@@ -389,8 +356,8 @@ class TestR011CtypesImports:
         assert codes(self.BAD_IMPORT, path=self.CEXT_PATH) == []
 
     def test_rest_of_kernels_package_is_not_exempt(self):
-        # Unlike R010's package-wide carve-out, only the one audited
-        # binding module may touch ctypes.
+        # Only the one audited binding module may touch ctypes, not
+        # the kernels package at large.
         assert codes(self.BAD_IMPORT, path=self.KERNELS_PATH) == ["R011"]
 
     def test_tests_are_exempt(self):
@@ -460,7 +427,7 @@ class TestR013PoolConstruction:
     BAD_MP = "import multiprocessing\npool = multiprocessing.Pool(4)\n"
     BAD_MP_ALIAS = "import multiprocessing as mp\npool = mp.Pool()\n"
     FABRIC_PATH = "src/repro/fabric/supervisor.py"
-    RESILIENCE_PATH = "src/repro/resilience/supervisor.py"
+    FABRIC_QUEUE_PATH = "src/repro/fabric/queue.py"
     KERNELS_PATH = "src/repro/core/kernels/dispatch.py"
 
     def test_executor_construction_fires_in_package(self):
@@ -474,8 +441,8 @@ class TestR013PoolConstruction:
     def test_fabric_package_is_exempt(self):
         assert codes(self.BAD_EXECUTOR, path=self.FABRIC_PATH) == []
 
-    def test_resilience_shims_and_kernels_are_exempt(self):
-        assert codes(self.BAD_EXECUTOR, path=self.RESILIENCE_PATH) == []
+    def test_fabric_modules_and_kernels_are_exempt(self):
+        assert codes(self.BAD_EXECUTOR, path=self.FABRIC_QUEUE_PATH) == []
         assert codes(self.BAD_EXECUTOR, path=self.KERNELS_PATH) == []
 
     def test_tests_and_scripts_are_exempt(self):

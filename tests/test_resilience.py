@@ -16,7 +16,7 @@ import pytest
 from repro import obs
 from repro.data.synthetic import SyntheticDatasetSpec, generate_dataset
 from repro.experiments.runner import _is_better, run_suite
-from repro.resilience import (
+from repro.fabric import (
     FaultSpec,
     InjectedFault,
     JOURNAL_SCHEMA_VERSION,
@@ -30,8 +30,8 @@ from repro.resilience import (
     run_supervised,
     validate_record,
 )
-from repro.resilience.faults import fire
-from repro.resilience.supervisor import _backoff_delay, _journal_view
+from repro.fabric.faults import fire
+from repro.fabric.supervisor import _backoff_delay, _journal_view
 
 
 def _unit_worker(value, *, attempt, fault, in_worker):

@@ -37,7 +37,7 @@ import pytest
 from repro import MrCC, generate_dataset, obs
 from repro.core import kernels
 from repro.data.synthetic import SyntheticDatasetSpec
-from repro.resilience.faults import InjectedFault
+from repro.fabric.faults import InjectedFault
 from repro.serve import (
     MODEL_MAGIC,
     BatchLabeller,

@@ -14,9 +14,9 @@ Six passes over one shared project model and call graph:
 * :mod:`.ffi` (``A4xx``) — the FFI contract of the cext backend: C
   prototypes vs ctypes bindings, pointer/length pairing, call-site
   dtype/contiguity proofs.
-* :mod:`.equivalence` (``A5xx``) — backend equivalence: the numba
-  backend dispatches to the shared loops bodies, the C transliteration
-  matches their loop skeletons, ``#define`` constants equal the Python
+* :mod:`.equivalence` (``A5xx``) — backend equivalence: the C
+  transliteration matches the loop skeletons of its Python spec in
+  ``kernels.loops``, and ``#define`` constants equal the Python
   definitions.
 * :mod:`.determinism` (``A6xx``) — cross-process determinism of the
   dispatch roots and worker closures: no unordered iteration,

@@ -1,22 +1,11 @@
-"""Pass A5: prove the compiled backends share one algorithmic source.
+"""Pass A5: prove the C backend mirrors its executable specification.
 
-The bit-identity story of the kernels rests on two structural claims:
-the numba backend compiles *the* loop bodies from
-:mod:`repro.core.kernels.loops` (not private copies that could drift),
-and the C transliteration in the cext backend mirrors those bodies
-statement for statement.  Neither claim is enforced by any test that
-merely compares outputs — outputs agree until the day an edit lands on
-one side only.  This pass checks the structure itself:
+The bit-identity story of the kernels rests on one structural claim:
+the C transliteration in the cext backend mirrors the loop bodies of
+:mod:`repro.core.kernels.loops` statement for statement.  No test that
+merely compares outputs enforces it — outputs agree until the day an
+edit lands on one side only.  This pass checks the structure itself:
 
-``A501``
-    Numba dispatch.  Every public kernel in the loops module must be
-    *referenced* (``loops.K``) by the numba backend, and no function in
-    the numba backend named after a kernel may itself contain loops —
-    a loop-bearing namesake is a private reimplementation, whether it
-    is a byte-identical duplicate (single-source-of-truth violation)
-    or a diverging one (a silent fork).  The wrappers the backend
-    legitimately defines are loop-free adapters, so the rule separates
-    them cleanly.
 ``A502``
     Loop-skeleton agreement.  For every kernel defined on both sides,
     the for/while nesting tree of the C function (private static
@@ -45,45 +34,33 @@ from .cparse import (
     parse_functions,
 )
 from .findings import Finding
-from .project import FunctionInfo, ModuleInfo, Project, dotted_name
+from .project import FunctionInfo, ModuleInfo, Project
 
 
 def analyze_equivalence(
     project: Project,
     loops_module: str = "repro.core.kernels.loops",
-    numba_module: str = "repro.core.kernels.numba_backend",
     cext_module: str = "repro.core.kernels.cext_backend",
     source_global: str = "_C_SOURCE",
 ) -> list[Finding]:
     """Run pass A5 over the kernel backend modules, where present."""
     loops_mod = project.modules.get(loops_module)
-    if loops_mod is None:
-        return []
-    kernels = _public_kernels(loops_mod)
-    findings: list[Finding] = []
-
-    numba_mod = project.modules.get(numba_module)
-    if numba_mod is not None:
-        findings.extend(
-            _check_numba_dispatch(project, numba_mod, loops_mod, kernels)
-        )
-
     cext_mod = project.modules.get(cext_module)
-    if cext_mod is not None:
-        source, source_line = _find_c_source(cext_mod, source_global)
-        if source is not None:
-            findings.extend(
-                _check_c_equivalence(
-                    cext_mod, source, source_line, loops_mod, kernels
-                )
-            )
+    if loops_mod is None or cext_mod is None:
+        return []
+    source, source_line = _find_c_source(cext_mod, source_global)
+    if source is None:
+        return []
+    findings = _check_c_equivalence(
+        cext_mod, source, source_line, loops_mod, _public_kernels(loops_mod)
+    )
     return sorted(set(findings))
 
 
 def _public_kernels(loops_mod: ModuleInfo) -> dict[str, FunctionInfo]:
     """Top-level functions of the loops module, private ones included.
 
-    ``binom_sf`` is public; a private helper would still need a C/numba
+    ``binom_sf`` is public; a private helper would still need a C
     counterpart compared under its own name, so everything top-level
     participates.
     """
@@ -93,73 +70,6 @@ def _public_kernels(loops_mod: ModuleInfo) -> dict[str, FunctionInfo]:
         if info.class_name is None
         and info.qualname == f"{loops_mod.name}.{info.name}"
     }
-
-
-# -- A501: numba dispatches to the shared bodies -----------------------
-
-
-def _check_numba_dispatch(
-    project: Project,
-    numba_mod: ModuleInfo,
-    loops_mod: ModuleInfo,
-    kernels: dict[str, FunctionInfo],
-) -> list[Finding]:
-    findings: list[Finding] = []
-    referenced: set[str] = set()
-    for node in ast.walk(numba_mod.tree):
-        if not isinstance(node, ast.Attribute):
-            continue
-        dotted = dotted_name(node)
-        if dotted is None:
-            continue
-        resolved = project.resolve(numba_mod, dotted)
-        if resolved is None:
-            continue
-        prefix, _, name = resolved.rpartition(".")
-        if prefix == loops_mod.name and name in kernels:
-            referenced.add(name)
-
-    for name in sorted(set(kernels) - referenced):
-        findings.append(
-            _finding(
-                numba_mod,
-                1,
-                "A501",
-                f"{numba_mod.name}.{name}",
-                f"numba backend never references the shared loops body "
-                f"{loops_mod.name}.{name}; the kernel cannot be proven to "
-                f"dispatch to the single source of truth",
-            )
-        )
-
-    for info in numba_mod.functions.values():
-        if info.name not in kernels:
-            continue
-        loop_count = sum(
-            isinstance(node, (ast.For, ast.While))
-            for node in ast.walk(info.node)
-        )
-        if loop_count == 0:
-            continue  # a loop-free adapter over the compiled dispatcher
-        shared = kernels[info.name]
-        identical = ast.dump(info.node) == ast.dump(shared.node)
-        variant = (
-            "a byte-identical duplicate of"
-            if identical
-            else "a diverging reimplementation of"
-        )
-        findings.append(
-            _finding(
-                numba_mod,
-                info.node.lineno,
-                "A501",
-                info.qualname,
-                f"defines a loop-bearing private copy of kernel "
-                f"{info.name!r} ({variant} {shared.qualname}) instead of "
-                f"jitting the shared loops body",
-            )
-        )
-    return findings
 
 
 # -- A502: C loop skeletons match the Python bodies --------------------

@@ -28,7 +28,6 @@ CODES: dict[str, str] = {
     "A401": "C prototype and ctypes binding disagree",
     "A402": "C pointer parameter without a bounding length parameter",
     "A403": "FFI call site passes an unproven array (dtype/contiguity)",
-    "A501": "numba backend does not dispatch to the shared loops body",
     "A502": "C loop skeleton diverges from the Python kernel body",
     "A503": "C #define constant differs from the Python definition",
     "A601": "unordered iteration in a parallel dispatch path",

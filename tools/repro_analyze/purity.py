@@ -3,7 +3,7 @@
 Entry points are found syntactically: every ``pool.submit(f, …)`` /
 ``pool.map(f, …)`` call in a module that imports
 ``ProcessPoolExecutor`` roots the proof at ``f``, and so does every
-``run_supervised(f, …)`` call — the resilience supervisor forwards its
+``run_supervised(f, …)`` call — the fabric supervisor forwards its
 worker function to per-slot process pools, so a function dispatched
 through it reaches workers exactly like a raw ``submit``.  From the
 roots the pass walks the conservative closure of the shared call

@@ -26,7 +26,6 @@ RULES: dict[str, str] = {
     "R007": "environment access outside repro.env",
     "R008": "direct timing calls outside repro.obs and benchmarks",
     "R009": "no bare or silently-swallowed except outside the job fabric",
-    "R010": "no direct numba imports outside repro.core.kernels",
     "R011": "no direct ctypes imports outside the cext backend module",
     "R012": "no direct model-file I/O outside repro.serve.store",
     "R013": "no process-pool construction outside repro.fabric",
@@ -171,7 +170,6 @@ class PathContext:
     is_env_module: bool
     in_obs: bool
     in_benchmarks: bool
-    in_resilience: bool
     in_fabric: bool
     in_kernels: bool
     is_cext_module: bool
@@ -197,7 +195,6 @@ class PathContext:
             is_env_module=normalized.endswith("/repro/env.py"),
             in_obs="/repro/obs/" in normalized,
             in_benchmarks="benchmarks" in parts[:-1],
-            in_resilience="/repro/resilience/" in normalized,
             in_fabric="/repro/fabric/" in normalized,
             in_kernels="/repro/core/kernels/" in normalized,
             is_cext_module=normalized.endswith(
@@ -308,7 +305,6 @@ class _RuleVisitor(ast.NodeVisitor):
             self.context.in_package
             and not self.context.is_test
             and not self.context.in_fabric
-            and not self.context.in_resilience
             and not self.context.in_kernels
         )
 
@@ -468,21 +464,6 @@ class _RuleVisitor(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    # -- R010: numba stays behind the kernels backend layer -----------
-    # numba is an optional extra; direct imports elsewhere would make
-    # modules fail on machines without it and bypass the REPRO_BACKEND
-    # selection (and its bit-identity guarantees).  Only the kernels
-    # package may import it — everything else goes through
-    # repro.core.kernels.get_backend / active_backend.
-
-    @property
-    def _numba_rule_binds(self) -> bool:
-        return (
-            self.context.in_package
-            and not self.context.in_kernels
-            and not self.context.is_test
-        )
-
     # -- R011: ctypes stays inside the cext backend module ------------
     # The FFI boundary is a correctness liability: calls through ctypes
     # bypass every Python-side type check, so repro_analyze's A4 pass
@@ -498,16 +479,6 @@ class _RuleVisitor(ast.NodeVisitor):
         )
 
     def visit_Import(self, node: ast.Import) -> None:
-        if self._numba_rule_binds:
-            for alias in node.names:
-                if alias.name == "numba" or alias.name.startswith("numba."):
-                    self._add(
-                        node,
-                        "R010",
-                        f"direct import of {alias.name} outside "
-                        "repro.core.kernels (select compiled kernels via "
-                        "REPRO_BACKEND and repro.core.kernels instead)",
-                    )
         if self._ctypes_rule_binds:
             for alias in node.names:
                 if alias.name == "ctypes" or alias.name.startswith("ctypes."):
@@ -522,15 +493,6 @@ class _RuleVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if self._numba_rule_binds and node.module is not None:
-            if node.module == "numba" or node.module.startswith("numba."):
-                self._add(
-                    node,
-                    "R010",
-                    f"direct import from {node.module} outside "
-                    "repro.core.kernels (select compiled kernels via "
-                    "REPRO_BACKEND and repro.core.kernels instead)",
-                )
         if self._ctypes_rule_binds and node.module is not None:
             if node.module == "ctypes" or node.module.startswith("ctypes."):
                 self._add(
@@ -575,16 +537,14 @@ class _RuleVisitor(ast.NodeVisitor):
     # Package code must not turn failures into silence: blanket
     # exception handling is the fabric supervisor's job, where every
     # caught failure becomes a structured, journaled outcome.  Tests may
-    # swallow (pytest.raises idioms); repro.fabric (and its
-    # repro.resilience compatibility shim) is the sanctioned home for
-    # broad handlers.
+    # swallow (pytest.raises idioms); repro.fabric is the sanctioned
+    # home for broad handlers.
 
     @property
     def _except_rule_binds(self) -> bool:
         return (
             self.context.in_package
             and not self.context.is_test
-            and not self.context.in_resilience
             and not self.context.in_fabric
         )
 
