@@ -16,15 +16,19 @@ column-wise in numpy arrays with a hash index from cell coordinates to
 rows, giving O(1) cell and face-neighbour lookup, which phase two
 depends on.
 
-Construction is a single scan in the paper; here the points are binned
-once at the finest half-resolution ``2^H`` and every coarser level is
-derived by *aggregating cells* — right-shifting coordinates and summing
-counts over equal parents — so the per-point work is O(η) total instead
-of O(η·H).  The result is bit-identical to re-scanning the points per
-level (the seed behaviour, kept as :func:`_reference_build` for the
-equivalence tests and the perf baseline): each point still contributes
-one count to every level and one half-space count per axis, exactly as
-Algorithm 1 lines 4-10.
+Construction is a single scan in the paper.  Here the points are binned
+once at the finest half-resolution ``2^H``, packed as level-``H-1`` cell
+coordinates into uint64 words (a fixed bit field per axis) and grouped
+by one sort of those words; each point's lowest coordinate bit gives the
+half-space counts.  Every coarser level is derived by *aggregating
+cells* — shifting the finer level's unique words right by one bit per
+field and summing counts over equal parents — so the per-point work is
+O(η) total instead of O(η·H), and no sort ever compares more than a few
+machine words per cell.  The result is bit-identical to re-scanning the
+points per level (the seed behaviour, kept as :func:`_reference_build`
+for the equivalence tests and the perf baseline): each point still
+contributes one count to every level and one half-space count per axis,
+exactly as Algorithm 1 lines 4-10.
 """
 
 from __future__ import annotations
@@ -46,8 +50,10 @@ MIN_RESOLUTIONS = 3
 """Algorithm 1 requires ``H >= 3``."""
 
 MAX_RESOLUTIONS = 32
-"""Coordinates at the finest half-resolution ``2^H`` must fit the
-``uint32`` key packing of :func:`void_keys`, bounding ``H`` at 32."""
+"""Level coordinates must fit the ``>u4`` fields of :func:`void_keys`,
+bounding ``H`` at 32.  That packing now serves only the ``Level`` lookup
+index and the model-file keys; the tree build groups on uint64 cell
+words, whose field width adapts to the coordinates."""
 
 _KEY_COORD_MAX = (1 << 32) - 1
 """Largest coordinate the big-endian ``>u4`` key packing can hold."""
@@ -264,9 +270,14 @@ class CountingTree:
     Notes
     -----
     Time ``O(η d + cells·H·d)`` — the η points are touched exactly once
-    (binning plus one sort at the finest half-resolution); every coarser
-    level aggregates the previous level's at-most-η cells.  Space
-    ``O(H η d)``, matching Algorithm 1's stated complexity.
+    (binning, packing into ``ceil(d / (64 // w))`` uint64 words with a
+    ``w``-bit field per axis, and one sort of those words at level
+    ``H-1``); every coarser level sorts the previous level's at-most-η
+    unique words.  Working memory beyond the binned coordinates is a
+    few words per point — the sort keys, the permutation and the
+    points' parity bits — instead of ``4·d``-byte void rows; the
+    levels themselves take ``O(H η d)``, matching Algorithm 1's stated
+    complexity.
     """
 
     def __init__(
@@ -377,39 +388,47 @@ merge all speak it."""
 def level_arrays(base: IntArray, n_resolutions: int) -> dict[int, LevelArrays]:
     """Per-level SoA cell aggregates from binned coordinates (pure).
 
-    The η points are grouped into cells once, at half-resolution
-    ``2^H``; level ``H-1`` down to ``1`` are then derived from the
-    next-finer *cells* — right-shift the coordinates, sum counts over
-    unique parents, and credit the count to ``half_counts[j]`` where
-    the finer coordinate's parity along ``e_j`` is even (the finer
-    cell sits in the lower half of its parent).  Every ``np.unique``
-    after the first sorts at most ``cells`` rows, not ``η``, so the
-    per-point work is one binning pass plus one sort.
+    The η points are grouped into cells once, directly at level
+    ``H-1``: their coordinates ``base >> 1`` are packed into uint64
+    cell words (:func:`_pack_words`) and sorted, and each point's
+    parity bit ``base & 1`` along ``e_j`` credits ``half_counts[j]``
+    when it is even (the point sits in the lower half of its cell).
+    Levels ``H-2`` down to ``1`` are derived from the next-finer
+    level's unique *words*: ``(word >> 1) & field_mask`` is the packed
+    parent coordinate and the bit shifted out of each field is the
+    child's parity, so every sort after the first sorts at most
+    ``cells`` words, not ``η`` rows, and nothing is repacked.  Cell
+    coordinates are unpacked from the unique words.
 
-    Grouping sorts :func:`void_keys` (an index argsort over packed
-    big-endian keys) instead of ``np.unique(axis=0)`` (a payload sort
-    of wide void rows), and the resulting numeric-lexicographic cell
-    order is canonical: any split of the points into chunks yields,
+    The words' numeric order is the numeric-lexicographic cell order,
+    which is canonical: any split of the points into chunks yields,
     after :func:`merge_level_arrays`, element-identical arrays.  This
     function is deliberately free of observability and environment
     access — it is the body shard workers run, and workers must be
     pure.
     """
-    fine_coords, order, starts, _ = _group_rows(base)
-    fine_counts = np.diff(np.append(starts, base.shape[0]))
+    n_points, d = base.shape
+    width = _field_width(base, drop=1)
+    order, starts, cell_words = _group_words(_pack_words(base, width, drop=1))
+    counts = np.diff(np.append(starts, n_points))
+    # One-bit fields: each point's parity along every axis.
+    parity = _pack_words(base, 1)[order]
+    del order
+    halves = _lower_half_counts(parity, d, 1, None, counts, starts)
 
-    arrays: dict[int, LevelArrays] = {}
-    for h in range(n_resolutions - 1, 0, -1):
-        cells, order, starts, _ = _group_rows(fine_coords >> 1)
-        counts = np.add.reduceat(fine_counts[order], starts)
-        # A finer cell sits in the lower half of its parent along e_j
-        # exactly when its coordinate's parity along e_j is even.
-        in_lower_half = np.where(
-            (fine_coords[order] & 1) == 0, fine_counts[order][:, None], 0
+    masks = _parent_masks(d, width)
+    arrays = {
+        n_resolutions - 1: (_unpack_words(cell_words, d, width), counts, halves)
+    }
+    for h in range(n_resolutions - 2, 0, -1):
+        fine_words, fine_counts = cell_words, counts
+        order, starts, cell_words = _group_words((fine_words >> 1) & masks)
+        child_counts = fine_counts[order]
+        counts = np.add.reduceat(child_counts, starts)
+        halves = _lower_half_counts(
+            fine_words[order], d, width, child_counts, counts, starts
         )
-        half_counts = np.add.reduceat(in_lower_half, starts, axis=0)
-        arrays[h] = (cells, counts, half_counts)
-        fine_coords, fine_counts = cells, counts
+        arrays[h] = (_unpack_words(cell_words, d, width), counts, halves)
     return {h: arrays[h] for h in range(1, n_resolutions)}
 
 
@@ -426,7 +445,7 @@ def merge_level_arrays(left: LevelArrays, right: LevelArrays) -> LevelArrays:
     coords = np.concatenate([left[0], right[0]])
     counts = np.concatenate([left[1], right[1]])
     halves = np.concatenate([left[2], right[2]])
-    cells, order, starts, _ = _group_rows(coords)
+    cells, order, starts = _group_rows(coords)
     merged_counts = np.add.reduceat(counts[order], starts)
     merged_halves = np.add.reduceat(halves[order], starts, axis=0)
     return cells, merged_counts, merged_halves
@@ -462,27 +481,151 @@ def aggregate_levels(base: IntArray, n_resolutions: int) -> dict[int, Level]:
     return levels
 
 
-def _group_rows(
-    coords: IntArray,
-) -> tuple[IntArray, IntArray, IntArray, AnyArray]:
-    """Group identical coordinate rows by sorting their packed keys.
+def _group_rows(coords: IntArray) -> tuple[IntArray, IntArray, IntArray]:
+    """Group identical coordinate rows by sorting their packed words.
 
-    Returns ``(cells, order, starts, cell_keys)``: the unique rows in
+    Returns ``(cells, order, starts)``: the unique rows in
     numeric-lexicographic order, the permutation sorting the input into
-    that order, the start offset of each group within the permuted
-    input, and the void key of each unique row (sorted — reusable as a
-    ready-made ``Level`` lookup index).
+    that order, and the start offset of each group within the permuted
+    input.
     """
-    keys = void_keys(coords)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    if sorted_keys.shape[0] > 1:
-        changed = sorted_keys[1:] != sorted_keys[:-1]
+    width = _field_width(coords)
+    order, starts, cell_words = _group_words(_pack_words(coords, width))
+    return _unpack_words(cell_words, coords.shape[1], width), order, starts
+
+
+# Packed cell words.  A cell's coordinates are packed into uint64 words
+# with a fixed field of ``width`` bits per axis, ``64 // width`` axes to
+# a word and axis 0 in the most significant field, so the numeric order
+# of the words (first word most significant) is the lexicographic order
+# of the coordinates — the canonical order of the big-endian
+# :func:`void_keys`.  Sorting one or a few machine words per cell is
+# what keeps grouping cheap; the void keys remain only the ``Level``
+# lookup index and the model-file format.
+
+_PACK_ROWS = 8192
+"""Rows packed per block: small enough that the block's temporaries
+stay in cache while the strided ``(m, d)`` input is read once."""
+
+
+def _field_width(coords: IntArray, drop: int = 0) -> int:
+    """Bits per field that hold every ``coords >> drop`` (at least 1)."""
+    return max(1, (int(coords.max(initial=0)) >> drop).bit_length())
+
+
+def _field_layout(d: int, width: int) -> tuple[int, IntArray, AnyArray]:
+    """Word count, and word index and bit shift of each axis's field."""
+    per_word = 64 // width
+    slots = [divmod(axis, per_word) for axis in range(d)]
+    word = np.array([w for w, _ in slots], dtype=np.int64)
+    shift = np.array(
+        [(min(per_word, d - w * per_word) - 1 - slot) * width for w, slot in slots],
+        dtype=np.uint64,
+    )
+    # Zero axes still get one (all-zero) word: every point shares a cell.
+    return max(1, -(-d // per_word)), word, shift
+
+
+def _pack_words(coords: IntArray, width: int, drop: int = 0) -> AnyArray:
+    """Pack coordinate rows into ``(m, words)`` uint64 cell words.
+
+    Field ``j`` holds ``(coords[:, j] >> drop) mod 2**width``.  The
+    fields are disjoint, so each word is a plain dot product of the
+    block with per-axis powers of two.
+    """
+    m, d = coords.shape
+    n_words, word, shift = _field_layout(d, width)
+    scale = np.zeros((d, n_words), dtype=np.uint64)
+    scale[np.arange(d, dtype=np.int64), word] = np.uint64(1) << shift
+    field = np.uint64((1 << width) - 1)
+    words = np.empty((m, n_words), dtype=np.uint64)
+    for lo in range(0, m, _PACK_ROWS):
+        block = coords[lo : lo + _PACK_ROWS]
+        low = int(block.min(initial=0))
+        if low < 0:
+            raise ContractError(
+                f"coords must be non-negative to pack into uint64 cell "
+                f"words (observed minimum {low})"
+            )
+        # int64 -> uint64 is lossless: the guard above rejects negatives.
+        fields = block.astype(np.uint64)
+        fields >>= drop
+        fields &= field
+        np.dot(fields, scale, out=words[lo : lo + _PACK_ROWS])
+    return words
+
+
+def _unpack_words(words: AnyArray, d: int, width: int) -> IntArray:
+    """The ``(m, d)`` int64 coordinates packed in ``words``."""
+    _, word, shift = _field_layout(d, width)
+    fields = words[:, word] >> shift
+    fields &= np.uint64((1 << width) - 1)
+    return fields.view(np.int64)
+
+
+def _parent_masks(d: int, width: int) -> AnyArray:
+    """Per-word mask clearing each field's top bit after ``word >> 1``.
+
+    The shift moves every field's coordinate one bit down, and the top
+    bit of each field receives the parity bit of the field above it;
+    masking that bit leaves exactly the parent coordinates.
+    """
+    n_words, word, shift = _field_layout(d, width)
+    masks = np.zeros(n_words, dtype=np.uint64)
+    np.bitwise_or.at(masks, word, np.uint64((1 << (width - 1)) - 1) << shift)
+    return masks
+
+
+def _group_words(words: AnyArray) -> tuple[IntArray, IntArray, AnyArray]:
+    """Sort packed cell words and find the groups of equal cells.
+
+    Returns ``(order, starts, unique_words)``: the permutation sorting
+    the rows of ``words`` into numeric order (one word: a plain
+    argsort; more: a lexsort with the first word most significant),
+    the start offset of each group within that order, and the unique
+    words.  Order within a group is unspecified — callers only sum
+    over groups.
+    """
+    if words.shape[1] == 1:
+        order = np.argsort(words[:, 0])
+    else:
+        order = np.lexsort(words.T[::-1])
+    ordered = words[order]
+    if ordered.shape[0] > 1:
+        changed = np.any(ordered[1:] != ordered[:-1], axis=1)
         starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
     else:
-        starts = np.zeros(sorted_keys.shape[0], dtype=np.int64)
-    cells = np.ascontiguousarray(coords[order[starts]])
-    return cells, order, starts, sorted_keys[starts]
+        starts = np.zeros(ordered.shape[0], dtype=np.int64)
+    return order, starts, ordered[starts]
+
+
+def _lower_half_counts(
+    child_words: AnyArray,
+    d: int,
+    width: int,
+    child_counts: IntArray | None,
+    counts: IntArray,
+    starts: IntArray,
+) -> IntArray:
+    """Half-space counts ``P[j]`` of each group from its children's parity.
+
+    ``child_words`` are the children's packed words in group order; the
+    lowest bit of each ``width``-bit field is the child's parity along
+    that axis.  A child with an odd coordinate sits in the upper half of
+    its parent, so ``P[j]`` is the group count minus the count-weighted
+    number of odd children, one 1-D reduction per axis.
+    ``child_counts=None`` weighs every child 1 (the children are points).
+    """
+    _, word, shift = _field_layout(d, width)
+    halves = np.empty((counts.shape[0], d), dtype=np.int64)
+    for axis in range(d):
+        odd = (child_words[:, word[axis]] >> shift[axis]) & np.uint64(1)
+        # Reinterpreting the 0/1 bits as int64 is exact.
+        odd_rows = odd.view(np.int64)
+        if child_counts is not None:
+            odd_rows *= child_counts
+        halves[:, axis] = counts - np.add.reduceat(odd_rows, starts)
+    return halves
 
 
 def _reference_build(base: IntArray, h: int, n_resolutions: int, d: int) -> Level:

@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.contracts import ContractError
-from repro.core.counting_tree import CountingTree, void_keys
+from repro.core.counting_tree import (
+    CountingTree,
+    _field_layout,
+    _field_width,
+    aggregate_levels,
+    reference_levels,
+    void_keys,
+)
 
 
 def _tree(points, H=4):
@@ -234,3 +241,111 @@ class TestComplexityProxies:
             assert np.all(level.half_counts <= level.n[:, None])
             assert np.all(level.coords >= 0)
             assert np.all(level.coords < (1 << h))
+
+
+@st.composite
+def binned_points(draw):
+    """``(base, H)``: finest-resolution coordinates of η points in ``d`` axes.
+
+    Coordinates are drawn on the ``2^H`` grid directly, half of the
+    draws pinning one coordinate at the grid's top so the level-``H-1``
+    fields are as wide as ``H`` allows; one draw in four repeats a
+    single row (all-duplicate points).
+    """
+    n_resolutions = draw(st.integers(3, 32))
+    d = draw(st.integers(1, 40))
+    n_points = draw(st.integers(1, 40))
+    top = (1 << n_resolutions) - 1
+    base = draw(
+        arrays(np.int64, (n_points, d), elements=st.integers(0, top))
+    )
+    if draw(st.booleans()):
+        base[0, 0] = top
+    if draw(st.integers(0, 3)) == 0:
+        base[:] = base[0]
+    return base, n_resolutions
+
+
+@st.composite
+def permuted_binned_points(draw):
+    """``(base, H, order)``: a :func:`binned_points` draw and a row order."""
+    base, n_resolutions = draw(binned_points())
+    order = draw(st.permutations(range(base.shape[0])))
+    return base, n_resolutions, np.array(order, dtype=np.int64)
+
+
+def _constant_base(n_points, d, n_resolutions, value):
+    return np.full((n_points, d), value, dtype=np.int64), n_resolutions
+
+
+def _spread_base(n_points, d, n_resolutions, seed):
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 1 << n_resolutions, size=(n_points, d))
+    base[0, 0] = (1 << n_resolutions) - 1
+    return base, n_resolutions
+
+
+def _words_at_finest_level(base):
+    d = base.shape[1]
+    n_words, _, _ = _field_layout(d, _field_width(base, drop=1))
+    return n_words
+
+
+def _assert_levels_identical(actual, expected):
+    assert sorted(actual) == sorted(expected)
+    for h in expected:
+        a, e = actual[h], expected[h]
+        for name in ("coords", "n", "half_counts"):
+            got, want = getattr(a, name), getattr(e, name)
+            assert got.dtype == want.dtype, (h, name)
+            assert np.array_equal(got, want), (h, name)
+        assert a._sorted_keys.tobytes() == e._sorted_keys.tobytes(), h
+
+
+class TestPackedWordGrouping:
+    """The packed-word cascade must equal the per-level rescan exactly."""
+
+    MULTI_WORD = _spread_base(300, 40, 32, seed=7)
+    SHALLOW_MULTI_WORD = _spread_base(500, 20, 6, seed=8)
+
+    def test_examples_cover_multi_word_layouts(self):
+        assert _words_at_finest_level(self.MULTI_WORD[0]) > 1
+        assert _words_at_finest_level(self.SHALLOW_MULTI_WORD[0]) > 1
+
+    @given(binned_points())
+    @example(MULTI_WORD)
+    @example(SHALLOW_MULTI_WORD)
+    @example(_spread_base(200, 1, 32, seed=9))
+    @example(_constant_base(50, 7, 5, value=13))
+    @example(_constant_base(1, 5, 4, value=0))
+    @example(_constant_base(1, 40, 32, value=(1 << 32) - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_aggregate_levels_equal_reference(self, drawn):
+        base, n_resolutions = drawn
+        _assert_levels_identical(
+            aggregate_levels(base, n_resolutions),
+            reference_levels(base, n_resolutions, base.shape[1]),
+        )
+
+    @given(permuted_binned_points())
+    @example((*SHALLOW_MULTI_WORD, np.arange(500)[::-1].copy()))
+    @settings(max_examples=40, deadline=None)
+    def test_row_permutation_leaves_levels_unchanged(self, drawn):
+        base, n_resolutions, order = drawn
+        original = aggregate_levels(base, n_resolutions)
+        permuted = aggregate_levels(base[order], n_resolutions)
+        for h in original:
+            for name in ("coords", "n", "half_counts"):
+                assert np.array_equal(
+                    getattr(permuted[h], name), getattr(original[h], name)
+                ), (h, name)
+
+    def test_zero_axis_points_share_one_cell(self):
+        base = np.zeros((5, 0), dtype=np.int64)
+        _assert_levels_identical(
+            aggregate_levels(base, 4), reference_levels(base, 4, 0)
+        )
+
+    def test_negative_coordinates_raise_contract_error(self):
+        with pytest.raises(ContractError, match="non-negative"):
+            aggregate_levels(np.array([[-2, 0]], dtype=np.int64), 4)

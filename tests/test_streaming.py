@@ -201,6 +201,23 @@ class TestShardedBuild:
         for h in serial.levels:
             assert _levels_bit_identical(sharded.level(h), serial.level(h))
 
+    def test_multi_word_cells_merge_like_the_serial_build(self):
+        # d=20 at H=6 packs 12 five-bit fields per uint64 word, so the
+        # finer levels' cells span two words: the chunked and sharded
+        # merges must group them exactly like the serial build.
+        rng = np.random.default_rng(43)
+        points = rng.uniform(0.0, 1.0, size=(3000, 20))
+        points[::3] = rng.uniform(0.40, 0.45, size=(1000, 20))
+        serial = CountingTree(points, n_resolutions=6, n_jobs=1)
+        assert int(serial.level(5).coords.max()) >= 16
+        chunked = build_tree_from_chunks(
+            np.array_split(points, 7), n_resolutions=6
+        )
+        sharded = CountingTree(points, n_resolutions=6, n_jobs=2)
+        for h in serial.levels:
+            assert _levels_bit_identical(chunked.level(h), serial.level(h))
+            assert _levels_bit_identical(sharded.level(h), serial.level(h))
+
     def test_rejects_non_positive_n_jobs(self, stream_dataset):
         with pytest.raises(ValueError, match="n_jobs"):
             CountingTree(stream_dataset.points, n_jobs=0)
