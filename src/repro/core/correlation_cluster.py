@@ -8,9 +8,12 @@ the union of its members' relevant axes, and its space is the union of
 their boxes.
 
 Finally the dataset is partitioned: a point belongs to the correlation
-cluster whose member box contains it (boxes of distinct correlation
-clusters are disjoint by construction, so the assignment is
-unambiguous); all remaining points are noise.
+cluster whose member box contains it; all remaining points are noise.
+Boxes of distinct correlation clusters are *not* disjoint: the merge
+only joins boxes whose overlap has positive measure, so two groups'
+boxes may touch on a shared face, and the closed containment test puts
+a point on that face inside both.  The lowest group id wins, which
+keeps the assignment a deterministic function of the point.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 from repro import obs
 from repro.core.beta_cluster import BetaCluster
 from repro.core.contracts import check_array, check_labels
+from repro.core.kernels import active_backend
 from repro.types import (
     NOISE_LABEL,
     ClusteringResult,
@@ -83,49 +87,38 @@ def label_points(
 ) -> IntArray:
     """Partition the dataset: box membership → cluster id, else noise.
 
-    Points are tested against member boxes in group order; because the
-    groups' spaces are disjoint, at most one group can claim a point.
+    The member boxes are flattened in group order and handed to the
+    active backend's ``label_rows`` kernel, so a point takes the group
+    of the first box containing it.  Groups may touch on a shared face
+    (see the module docstring); a point on it gets the lowest group id.
+    A row with a NaN coordinate lies in no box and stays noise.
     """
-    labels = np.full(points.shape[0], NOISE_LABEL, dtype=np.int64)
-    unassigned = np.ones(points.shape[0], dtype=bool)
-    for cluster_id, members in enumerate(groups):
-        claimed = np.zeros(points.shape[0], dtype=bool)
-        for beta_index in members:
-            beta = betas[beta_index]
-            inside = np.all(
-                (points >= beta.lower) & (points <= beta.upper), axis=1
-            )
-            claimed |= inside
-        claimed &= unassigned
-        labels[claimed] = cluster_id
-        unassigned &= ~claimed
-    return labels
+    members = [beta_index for group in groups for beta_index in group]
+    box_group = np.repeat(
+        np.arange(len(groups), dtype=np.int64),
+        [len(group) for group in groups],
+    )
+    # The reshape keeps (0, d) for zero boxes and rejects boxes whose
+    # dimensionality differs from the points'.
+    shape = (len(members), points.shape[1])
+    lower = np.array([betas[b].lower for b in members], dtype=np.float64)
+    upper = np.array([betas[b].upper for b in members], dtype=np.float64)
+    return active_backend().label_rows(
+        points, lower.reshape(shape), upper.reshape(shape), box_group
+    )
 
 
-def build_correlation_clusters(
-    points: FloatArray, betas: list[BetaCluster]
+def assemble_result(
+    labels: IntArray, betas: list[BetaCluster], groups: list[list[int]]
 ) -> ClusteringResult:
-    """Run Algorithm 3: merge β-clusters, define axes, label points."""
-    check_array("points", points, dtype=np.float64, ndim=2)
-    if not betas:
-        return ClusteringResult(
-            labels=np.full(points.shape[0], NOISE_LABEL, dtype=np.int64),
-            clusters=[],
-            extras={"n_beta_clusters": 0, "beta_clusters": []},
-        )
-    with obs.span("assemble"):
-        obs.incr("assemble.beta_clusters", len(betas))
-        groups = merge_beta_clusters(betas)
-        obs.incr("assemble.clusters", len(groups))
-        labels = check_labels("labels", label_points(points, betas, groups))
-        if obs.enabled():
-            # O(n) scan, so only under an active tracer.
-            obs.incr("assemble.noise_points", int(np.sum(labels == NOISE_LABEL)))
-    clusters: list[SubspaceCluster] = []
+    """Wrap a label vector with one cluster record per merged group.
+
+    Shared by the in-memory fit, the streaming and the serving label
+    paths, so every path reports the same records.
+    """
+    clusters = []
     for cluster_id, members in enumerate(groups):
-        axes: set[int] = set()
-        for beta_index in members:
-            axes.update(betas[beta_index].relevant_axes)
+        axes = {axis for b in members for axis in betas[b].relevant_axes}
         clusters.append(
             SubspaceCluster.from_iterables(np.flatnonzero(labels == cluster_id), axes)
         )
@@ -138,3 +131,22 @@ def build_correlation_clusters(
             "groups": groups,
         },
     )
+
+
+def build_correlation_clusters(
+    points: FloatArray, betas: list[BetaCluster]
+) -> ClusteringResult:
+    """Run Algorithm 3: merge β-clusters, define axes, label points."""
+    check_array("points", points, dtype=np.float64, ndim=2)
+    if not betas:
+        labels = np.full(points.shape[0], NOISE_LABEL, dtype=np.int64)
+        return assemble_result(labels, [], [])
+    with obs.span("assemble"):
+        obs.incr("assemble.beta_clusters", len(betas))
+        groups = merge_beta_clusters(betas)
+        obs.incr("assemble.clusters", len(groups))
+        labels = check_labels("labels", label_points(points, betas, groups))
+        if obs.enabled():
+            # O(n) scan, so only under an active tracer.
+            obs.incr("assemble.noise_points", int(np.sum(labels == NOISE_LABEL)))
+    return assemble_result(labels, betas, groups)

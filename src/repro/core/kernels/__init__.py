@@ -1,10 +1,12 @@
 """Pluggable compute backends for the MrCC hot-path kernels.
 
-The three measured bottlenecks of a fit — the Laplacian convolution
-responses, the six-region binomial significance test, and the β-cluster
-box-exclusion scan — run through one of two interchangeable
-backends, all operating on the structure-of-arrays level views of
-:mod:`repro.core.kernels.soa`:
+The measured bottlenecks of a fit and of serving — the Laplacian
+convolution responses, the six-region binomial significance test, the
+β-cluster box-exclusion scan, and the labelling pass that assigns each
+point its correlation cluster — run through one of two interchangeable
+backends.  The first three operate on the structure-of-arrays level
+views of :mod:`repro.core.kernels.soa`; labelling operates on the
+points and the β-boxes flattened in group order:
 
 ``numpy``
     The vectorised reference implementation and the reproduction's
@@ -21,8 +23,9 @@ cext when it builds and numpy otherwise; naming a backend demands exactly
 that one and raises a :class:`BackendUnavailableError` carrying the
 probe's reason when it cannot load.  The oracle policy is structural:
 compiled backends either compute integer quantities exactly (responses,
-region counts, scans) or flag borderline binomial tails back to the
-scipy oracle, so every backend yields bit-identical clusterings and
+region counts, scans), repeat the oracle's float comparisons exactly
+(labelling), or flag borderline binomial tails back to the scipy
+oracle, so every backend yields bit-identical clusterings and
 obs counter streams — the cross-backend equivalence suite and the
 golden traces assert it.
 """
@@ -71,13 +74,14 @@ class _BinomThetasKernel(Protocol):
 
 @dataclass(frozen=True)
 class Backend:
-    """One loaded backend: metadata plus the four kernel entry points."""
+    """One loaded backend: metadata plus the five kernel entry points."""
 
     name: str
     compiled: bool
     version: str
     level_responses: Callable[[LevelSoA], IntArray]
     box_scan: Callable[[LevelSoA, IntArray, IntArray, int, int], IntArray]
+    label_rows: Callable[[FloatArray, FloatArray, FloatArray, IntArray], IntArray]
     six_region: _SixRegionKernel
     binom_thetas: _BinomThetasKernel
 
@@ -89,6 +93,7 @@ def _load_numpy() -> Backend:
         version=reference.version(),
         level_responses=reference.level_responses,
         box_scan=reference.box_scan,
+        label_rows=reference.label_rows,
         six_region=reference.six_region,
         binom_thetas=reference.binom_thetas,
     )
@@ -215,6 +220,12 @@ def warm_up(backend: Backend) -> None:
         np.ones(2, dtype=np.int64),
         0,
         3,
+    )
+    backend.label_rows(
+        np.array([[0.25, 0.5], [0.75, 0.5]], dtype=np.float64),
+        np.array([[0.0, 0.0], [0.5, 0.0]], dtype=np.float64),
+        np.array([[0.5, 1.0], [1.0, 1.0]], dtype=np.float64),
+        np.array([0, 1], dtype=np.int64),
     )
     backend.six_region(soa, 1, np.array([0, 1], dtype=np.int64))
     backend.binom_thetas(

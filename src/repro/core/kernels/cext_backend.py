@@ -96,6 +96,28 @@ int64_t box_scan(const int64_t *coords, int64_t m, int64_t d,
     return found;
 }
 
+/* First-match labelling over boxes flattened in group order; the
+ * negated closed test keeps NaN rows noise (-1, NOISE_LABEL). */
+void label_rows(const double *points, int64_t n, int64_t d,
+                const double *lower, const double *upper,
+                const int64_t *box_group, int64_t n_boxes, int64_t *out) {
+    for (int64_t i = 0; i < n; i++) {
+        int64_t label = -1;
+        for (int64_t b = 0; b < n_boxes; b++) {
+            int inside = 1;
+            for (int64_t k = 0; k < d; k++) {
+                double x = points[i * d + k];
+                if (!(x >= lower[b * d + k] && x <= upper[b * d + k])) {
+                    inside = 0;
+                    break;
+                }
+            }
+            if (inside) { label = box_group[b]; break; }
+        }
+        out[i] = label;
+    }
+}
+
 /* Lower-bound lexicographic binary search for row `position` with
  * column `axis` replaced by `target`; returns the row index or -1. */
 static int64_t find_shifted(const int64_t *coords, int64_t m, int64_t d,
@@ -304,6 +326,11 @@ def load() -> dict[str, Any]:
         _I64P, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P,
         ctypes.c_int64, ctypes.c_int64, _I64P,
     ]
+    lib.label_rows.restype = None
+    lib.label_rows.argtypes = [
+        _F64P, ctypes.c_int64, ctypes.c_int64, _F64P, _F64P, _I64P,
+        ctypes.c_int64, _I64P,
+    ]
     lib.six_region.restype = None
     lib.six_region.argtypes = [
         _I64P, _I64P, _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
@@ -340,6 +367,28 @@ def load() -> dict[str, Any]:
         )
         return out[:found]
 
+    def label_rows(
+        points: FloatArray,
+        lower: FloatArray,
+        upper: FloatArray,
+        box_group: IntArray,
+    ) -> IntArray:
+        n, d = points.shape
+        if lower.shape != (box_group.shape[0], d) or upper.shape != lower.shape:
+            raise ValueError(
+                f"box bounds {lower.shape}/{upper.shape} do not match "
+                f"{box_group.shape[0]} boxes over {d} axes"
+            )
+        out = np.empty(n, dtype=np.int64)
+        lib.label_rows(
+            np.ascontiguousarray(points, dtype=np.float64), n, d,
+            np.ascontiguousarray(lower, dtype=np.float64),
+            np.ascontiguousarray(upper, dtype=np.float64),
+            np.ascontiguousarray(box_group, dtype=np.int64),
+            box_group.shape[0], out,
+        )
+        return out
+
     def six_region(
         soa: LevelSoA, position: int, bits: IntArray
     ) -> tuple[IntArray, IntArray]:
@@ -375,6 +424,7 @@ def load() -> dict[str, Any]:
         "version": Path(compiler).name + ("+asan" if sanitize else ""),
         "level_responses": level_responses,
         "box_scan": box_scan,
+        "label_rows": label_rows,
         "six_region": six_region,
         "binom_thetas": binom_thetas,
     }

@@ -11,7 +11,7 @@ passes compare the C loop skeletons and ``#define`` constants against
 it, so a C edit that drifts from the spec fails statically even before
 the Hypothesis bit-identity suite runs.
 
-Three structural facts the kernels exploit:
+Four structural facts the kernels exploit:
 
 * level rows arrive in lexicographic key order, so shifting one
   coordinate column by ±1 preserves the order — face-neighbour joins
@@ -21,7 +21,10 @@ Three structural facts the kernels exploit:
 * the binomial tail ``P(X > t)`` is a monotone function of ``t``, so
   the critical value is a binary search over stable log-space tail
   sums, with a relative guard band that routes borderline cases back
-  to the scipy oracle (see :func:`binom_thetas`).
+  to the scipy oracle (see :func:`binom_thetas`);
+* correlation-cluster boxes, flattened in group order, make labelling
+  a first-match search: the first box containing a row belongs to the
+  lowest group id that claims it (see :func:`label_rows`).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 
 import numpy as np
 
-from repro.types import FloatArray, IntArray
+from repro.types import NOISE_LABEL, FloatArray, IntArray
 
 SF_GUARD_BAND = 1e-6
 """Relative distance from ``alpha`` below which a tail sum is treated
@@ -132,6 +135,39 @@ def box_scan(
             out[found] = position
             found += 1
     return out[:found]
+
+
+def label_rows(
+    points: FloatArray, lower: FloatArray, upper: FloatArray, box_group: IntArray
+) -> IntArray:
+    """Correlation-cluster label of every row (Alg. 3, phase 3).
+
+    ``lower``/``upper`` are the ``(n_boxes, d)`` β-box bounds flattened
+    in group order — group by group, members in order — and
+    ``box_group`` the nondecreasing group id of each box.  Each row
+    takes the group of the first box containing it, so where two
+    groups' boxes share a face the lowest group id wins; a row no box
+    contains is ``NOISE_LABEL``.  The containment test is the closed float test
+    ``lo <= x <= hi``, negated as a whole so a NaN coordinate fails it
+    and the row stays noise.
+    """
+    n, d = points.shape
+    n_boxes = lower.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        label = NOISE_LABEL
+        for b in range(n_boxes):
+            inside = True
+            for k in range(d):
+                x = points[i, k]
+                if not (x >= lower[b, k] and x <= upper[b, k]):
+                    inside = False
+                    break
+            if inside:
+                label = box_group[b]
+                break
+        out[i] = label
+    return out
 
 
 def six_region(

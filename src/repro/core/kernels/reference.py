@@ -3,10 +3,11 @@
 Every kernel here is the vectorised numpy formulation the package ran
 before the backend layer existed: integer arithmetic plus sorted-key
 ``searchsorted`` joins for the convolution and the six-region
-neighbourhood, the interval test for the box-exclusion scan, and the
-scipy binomial inverse survival function for the critical values.  The
-compiled backends are validated against these functions — any
-disagreement is a bug in the compiled path, never in this one.
+neighbourhood, the interval test for the box-exclusion scan and for
+point labelling, and the scipy binomial inverse survival function for
+the critical values.  The compiled backends are validated against
+these functions — any disagreement is a bug in the compiled path,
+never in this one.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy import stats
 
 from repro.core.counting_tree import void_keys
 from repro.core.kernels.soa import LevelSoA
-from repro.types import FloatArray, IntArray
+from repro.types import NOISE_LABEL, FloatArray, IntArray
 
 NAME = "numpy"
 COMPILED = False
@@ -62,6 +63,23 @@ def box_scan(
     hit = np.all((block >= lo) & (block <= hi), axis=1)
     positions: IntArray = start + np.flatnonzero(hit)
     return positions
+
+
+def label_rows(
+    points: FloatArray, lower: FloatArray, upper: FloatArray, box_group: IntArray
+) -> IntArray:
+    """Group labels, one group at a time: the lowest claiming id wins."""
+    labels = np.full(points.shape[0], NOISE_LABEL, dtype=np.int64)
+    unassigned = np.ones(points.shape[0], dtype=bool)
+    for cluster_id in np.unique(box_group):
+        claimed = np.zeros(points.shape[0], dtype=bool)
+        for b in np.flatnonzero(box_group == cluster_id):
+            inside = np.all((points >= lower[b]) & (points <= upper[b]), axis=1)
+            claimed |= inside
+        claimed &= unassigned
+        labels[claimed] = cluster_id
+        unassigned &= ~claimed
+    return labels
 
 
 def six_region(

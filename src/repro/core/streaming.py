@@ -307,14 +307,20 @@ def label_stream(
     rerun; ``None`` recomputes it, which yields the identical grouping
     because the merge is deterministic.
     """
-    from repro.core.correlation_cluster import label_points, merge_beta_clusters
+    from repro.core.correlation_cluster import (
+        assemble_result,
+        label_points,
+        merge_beta_clusters,
+    )
 
     if groups is None:
         groups = merge_beta_clusters(betas)
     label_parts = []
     for chunk_index, chunk in enumerate(chunks):
         chunk = np.asarray(chunk, dtype=np.float64)
-        check_array(f"chunks[{chunk_index}]", chunk, dtype=np.float64, ndim=2)
+        check_array(
+            f"chunks[{chunk_index}]", chunk, dtype=np.float64, ndim=2, finite=True
+        )
         if chunk.shape[0]:
             label_parts.append(label_points(chunk, betas, groups))
     labels = (
@@ -322,27 +328,3 @@ def label_stream(
     )
     return assemble_result(labels, betas, groups)
 
-
-def assemble_result(
-    labels: np.ndarray, betas: list, groups: list[list[int]]
-) -> ClusteringResult:
-    """Wrap a label vector as a :class:`ClusteringResult` with cluster
-    records derived from the merged β-cluster groups (shared by the
-    streaming and the serving label paths)."""
-    from repro.types import SubspaceCluster
-
-    clusters = []
-    for cluster_id, members in enumerate(groups):
-        axes: set[int] = set()
-        for beta_index in members:
-            axes.update(betas[beta_index].relevant_axes)
-        clusters.append(
-            SubspaceCluster.from_iterables(
-                np.flatnonzero(labels == cluster_id), axes
-            )
-        )
-    return ClusteringResult(
-        labels=labels,
-        clusters=clusters,
-        extras={"n_beta_clusters": len(betas), "beta_clusters": betas},
-    )

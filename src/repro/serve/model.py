@@ -30,10 +30,13 @@ import numpy as np
 from repro import obs
 from repro.core.beta_cluster import BetaCluster
 from repro.core.contracts import check_array, check_labels
-from repro.core.correlation_cluster import label_points, merge_beta_clusters
+from repro.core.correlation_cluster import (
+    assemble_result,
+    label_points,
+    merge_beta_clusters,
+)
 from repro.core.counting_tree import CountingTree, Level, tree_from_levels
 from repro.core.mrcc import MrCC
-from repro.core.streaming import assemble_result
 from repro.data.normalize import apply_minmax
 from repro.serve.store import ModelFormatError, read_model, write_model
 from repro.types import ClusteringResult, FloatArray, IntArray

@@ -15,10 +15,12 @@ Two pieces turn persisted models into a clustering *service*:
     requests queue up, and a worker coalesces them until either a
     point budget (``REPRO_SERVE_BATCH``) is reached or a delay window
     (``REPRO_SERVE_DELAY``) closes, then labels each model's share in
-    **one** kernel call and splits the label vector back per request.
-    Because :func:`~repro.core.correlation_cluster.label_points` is
-    row-wise pure, the labels are bit-identical no matter how requests
-    were coalesced — the batch-invariance property suite asserts it.
+    **one** kernel call — one pass of the active backend's
+    ``label_rows`` over the batch — and splits the label vector back
+    per request.  Because
+    :func:`~repro.core.correlation_cluster.label_points` is row-wise
+    pure, the labels are bit-identical no matter how requests were
+    coalesced — the batch-invariance property suite asserts it.
 
 Failure semantics follow the job fabric: a fault injected via
 ``REPRO_FAULTS`` (request keys look like ``serve|<model>|request<i>``)

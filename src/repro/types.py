@@ -69,9 +69,18 @@ class SubspaceCluster:
     def from_iterables(
         indices: Iterable[SupportsInt], relevant_axes: Iterable[SupportsInt]
     ) -> "SubspaceCluster":
-        """Build a cluster from arbitrary iterables of ints."""
+        """Build a cluster from arbitrary iterables of ints.
+
+        Array input is converted in one ``tolist`` call rather than one
+        ``int`` per element: the large fits' cluster records hold
+        millions of indices.
+        """
+        if isinstance(indices, np.ndarray):
+            members = frozenset(np.asarray(indices, dtype=np.int64).tolist())
+        else:
+            members = frozenset(int(i) for i in indices)
         return SubspaceCluster(
-            indices=frozenset(int(i) for i in indices),
+            indices=members,
             relevant_axes=frozenset(int(a) for a in relevant_axes),
         )
 

@@ -1,7 +1,11 @@
 """Tests for correlation-cluster assembly (Algorithm 3)."""
 
-import numpy as np
+import types
 
+import numpy as np
+import pytest
+
+from repro.core import correlation_cluster, kernels
 from repro.core.beta_cluster import BetaCluster
 from repro.core.correlation_cluster import (
     UnionFind,
@@ -9,7 +13,26 @@ from repro.core.correlation_cluster import (
     label_points,
     merge_beta_clusters,
 )
+from repro.core.kernels import loops
 from repro.types import NOISE_LABEL
+
+LABELLERS = ["numpy", "loops", "cext"]
+
+
+@pytest.fixture(params=LABELLERS)
+def labeller(request, monkeypatch):
+    """Route ``label_points`` through one backend's ``label_rows``.
+
+    ``loops`` is the interpreted C spec, run as a pseudo-backend.
+    """
+    if request.param == "loops":
+        backend = types.SimpleNamespace(label_rows=loops.label_rows)
+        monkeypatch.setattr(correlation_cluster, "active_backend", lambda: backend)
+    elif request.param not in kernels.available_backends():
+        pytest.skip(f"backend {request.param!r} does not load on this machine")
+    else:
+        monkeypatch.setenv("REPRO_BACKEND", request.param)
+    return request.param
 
 
 def _beta(lower, upper, relevant, idx=0):
@@ -97,6 +120,58 @@ class TestLabelPoints:
         points = np.array([[0.1, 0.2], [0.65, 0.8]])
         labels = label_points(points, betas, groups)
         assert labels.tolist() == [0, 0]
+
+
+class TestLabelTieRule:
+    """Groups may touch on a face; the lowest group id takes the face."""
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_shared_face_goes_to_lowest_group(self, labeller, order):
+        boxes = [([0.5, 0.0], [1.0, 1.0]), ([0.0, 0.0], [0.5, 1.0])]
+        betas = [_beta(*boxes[i], [True, False]) for i in order]
+        groups = merge_beta_clusters(betas)
+        assert groups == [[0], [1]]
+        points = np.array([[0.5, 0.3], [0.25, 0.3], [0.75, 0.3]])
+        labels = label_points(points, betas, groups)
+        upper_group = order.index(0)
+        assert labels.tolist() == [0, 1 - upper_group, upper_group]
+
+    def test_first_member_box_of_a_group_wins_over_later_groups(self, labeller):
+        # Group 0 = betas {0, 2}; the point lies in betas 1 and 2 only,
+        # so group 0 claims it through its second member box.
+        betas = [
+            _beta([0.0, 0.0], [0.2, 1.0], [True, False]),
+            _beta([0.4, 0.0], [0.6, 1.0], [True, False]),
+            _beta([0.6, 0.0], [0.9, 1.0], [True, False]),
+        ]
+        labels = label_points(np.array([[0.6, 0.5]]), betas, [[0, 2], [1]])
+        assert labels.tolist() == [0]
+
+    def test_bounds_are_closed_and_nan_rows_are_noise(self, labeller):
+        betas = [_beta([0.25, 0.0], [0.75, 1.0], [True, False])]
+        points = np.array(
+            [
+                [0.25, 0.0],
+                [0.75, 1.0],
+                [np.nextafter(0.25, 0.0), 0.5],
+                [np.nextafter(0.75, 1.0), 0.5],
+                [np.nan, 0.5],
+                [0.5, np.nan],
+            ]
+        )
+        labels = label_points(points, betas, [[0]])
+        assert labels.tolist() == [0, 0] + [NOISE_LABEL] * 4
+
+    def test_no_boxes_and_no_rows(self, labeller):
+        points = np.array([[0.5, 0.5]])
+        assert label_points(points, [], []).tolist() == [NOISE_LABEL]
+        betas = [_beta([0.0, 0.0], [1.0, 1.0], [False, False])]
+        assert label_points(np.empty((0, 2)), betas, [[0]]).shape == (0,)
+
+    def test_box_dimensionality_must_match_the_points(self, labeller):
+        betas = [_beta([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [True, False, False])]
+        with pytest.raises(ValueError):
+            label_points(np.full((4, 2), 0.5), betas, [[0]])
 
 
 class TestBuildCorrelationClusters:

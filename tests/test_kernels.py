@@ -50,6 +50,10 @@ class _LoopsAdapter:
         return loops.box_scan(soa.coords, lo, hi, start, stop)
 
     @staticmethod
+    def label_rows(points, lower, upper, box_group):
+        return loops.label_rows(points, lower, upper, box_group)
+
+    @staticmethod
     def six_region(soa, position, bits):
         return loops.six_region(
             soa.coords, soa.counts, soa.half_counts, position, bits, soa.limit
@@ -93,6 +97,39 @@ def level_views(draw):
         order=None,
         keys=void_keys(coords),
     )
+
+
+@st.composite
+def label_problems(draw):
+    """Points, group-ordered β-boxes and their group ids for ``label_rows``.
+
+    Coordinates sit on a 1/8 grid over ``[-0.25, 1.25]`` and every box
+    is grown from one row by whole grid steps, so rows land exactly on
+    box faces; a few rows then get a NaN coordinate.
+    """
+    seed = draw(st.integers(0, 10_000))
+    d = draw(st.integers(1, 20))
+    n = draw(st.integers(0, 60))
+    n_boxes = draw(st.integers(0, 12))
+    rng = np.random.default_rng(seed)
+    points = rng.integers(-2, 11, size=(n, d)) / 8.0
+    anchors = (
+        points[rng.integers(0, n, size=n_boxes)]
+        if n
+        else rng.integers(-2, 11, size=(n_boxes, d)) / 8.0
+    )
+    lower = anchors - rng.integers(0, 5, size=(n_boxes, d)) / 8.0
+    upper = anchors + rng.integers(0, 5, size=(n_boxes, d)) / 8.0
+    # Irrelevant axes span the whole unit interval, as in a β-cluster.
+    spans = rng.random((n_boxes, d)) < 0.3
+    lower[spans], upper[spans] = 0.0, 1.0
+    steps = rng.integers(0, 2, size=n_boxes)
+    if n_boxes:
+        steps[0] = 0
+    box_group = np.cumsum(steps).astype(np.int64)
+    nan_rows = np.flatnonzero(rng.random(n) < 0.15)
+    points[nan_rows, rng.integers(0, d, size=nan_rows.size)] = np.nan
+    return points, lower, upper, box_group
 
 
 class TestBackendSelection:
@@ -322,6 +359,16 @@ class TestKernelEquivalence:
         np.testing.assert_array_equal(center, ref_center)
         np.testing.assert_array_equal(total, ref_total)
 
+    @given(problem=label_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_label_rows_bit_identical(self, name, problem):
+        impl = implementation(name)
+        points, lower, upper, box_group = problem
+        np.testing.assert_array_equal(
+            impl.label_rows(points, lower, upper, box_group),
+            reference.label_rows(points, lower, upper, box_group),
+        )
+
     @given(
         seed=st.integers(0, 10_000),
         d=st.integers(1, 8),
@@ -346,6 +393,19 @@ class TestKernelEquivalence:
             )
         expected, _ = reference.binom_thetas(totals, probs, alpha)
         np.testing.assert_array_equal(thetas, expected)
+
+
+@pytest.mark.parametrize("name", COMPILED or [None])
+def test_label_rows_rejects_mismatched_boxes(name):
+    # The C loop trusts the shapes for its indexing; the binding checks them.
+    if name is None:
+        pytest.skip("no compiled backend loads on this machine")
+    points = np.full((4, 3), 0.5)
+    bounds = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="do not match"):
+        kernels.get_backend(name).label_rows(
+            points, bounds, bounds, np.array([0, 1], dtype=np.int64)
+        )
 
 
 class TestBinomialTail:

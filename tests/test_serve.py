@@ -36,6 +36,7 @@ import pytest
 
 from repro import MrCC, generate_dataset, obs
 from repro.core import kernels
+from repro.core.contracts import ContractError
 from repro.data.synthetic import SyntheticDatasetSpec
 from repro.fabric.faults import InjectedFault
 from repro.serve import (
@@ -169,6 +170,13 @@ class TestRoundTrip:
         model = load_model(small_model_path)
         result = model.label_stream(np.array_split(points, 5))
         assert np.array_equal(result.labels, estimator.labels_)
+
+    def test_label_stream_rejects_nan_rows(self, small_model_path):
+        model = load_model(small_model_path)
+        bad = np.full((3, model.dimensionality), 0.5)
+        bad[1, -1] = np.nan
+        with pytest.raises(ContractError):
+            model.label_stream([bad])
 
     def test_tree_reconstructs_counts(self, small_fit, small_model_path):
         estimator, _ = small_fit

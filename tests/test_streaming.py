@@ -119,6 +119,13 @@ class TestStreamFailurePaths:
             builder.absorb(bad)
         assert builder.n_points == stream_dataset.n_points
 
+    def test_nan_chunk_rejected_by_label_stream(self, stream_dataset):
+        _, betas = fit_stream(np.array_split(stream_dataset.points, 2))
+        bad = stream_dataset.points[:8].copy()
+        bad[3, 0] = np.nan
+        with pytest.raises(ContractError, match=r"chunks\[1\]"):
+            label_stream([stream_dataset.points[:8], bad], betas)
+
     def test_build_requires_points(self):
         with pytest.raises(ValueError, match="no points"):
             TreeStreamBuilder().build()
