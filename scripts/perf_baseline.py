@@ -5,9 +5,10 @@ Three hot paths are measured against the seed (pre-optimisation)
 reference implementations that the core keeps for exactly this purpose:
 
 * **tree build** — :func:`repro.core.counting_tree.aggregate_levels`
-  (bin once, aggregate coarser levels from finer cells) versus
+  (bin and pack the points once, aggregate coarser levels from finer
+  cells; its timing includes the binning) versus
   :func:`repro.core.counting_tree.reference_levels` (one full rescan of
-  the η points per level);
+  the pre-binned η points per level);
 * **β-cluster search** — the incremental cursor/exclusion search of
   :func:`repro.core.beta_cluster.find_beta_clusters` versus the seed's
   full masked argmax + full-level overlap masks per restart;
@@ -190,7 +191,7 @@ def reference_find_beta_clusters(tree: CountingTree, alpha: float) -> list:
 def bench_tree_build(eta: int, d: int, h: int, repeats: int, seed: int) -> dict:
     points = clustered_points(eta, d, n_clusters=10, noise_fraction=0.15, seed=seed)
     base = bin_points(points, h)
-    aggregated_s, aggregated = best_of(repeats, lambda: aggregate_levels(base, h))
+    aggregated_s, aggregated = best_of(repeats, lambda: aggregate_levels(points, h))
     reference_s, reference = best_of(repeats, lambda: reference_levels(base, h, d))
     for level in aggregated:
         a, b = aggregated[level], reference[level]

@@ -16,19 +16,24 @@ column-wise in numpy arrays with a hash index from cell coordinates to
 rows, giving O(1) cell and face-neighbour lookup, which phase two
 depends on.
 
-Construction is a single scan in the paper.  Here the points are binned
-once at the finest half-resolution ``2^H``, packed as level-``H-1`` cell
-coordinates into uint64 words (a fixed bit field per axis) and grouped
-by one sort of those words; each point's lowest coordinate bit gives the
-half-space counts.  Every coarser level is derived by *aggregating
-cells* — shifting the finer level's unique words right by one bit per
-field and summing counts over equal parents — so the per-point work is
-O(η) total instead of O(η·H), and no sort ever compares more than a few
-machine words per cell.  The result is bit-identical to re-scanning the
-points per level (the seed behaviour, kept as :func:`_reference_build`
-for the equivalence tests and the perf baseline): each point still
-contributes one count to every level and one half-space count per axis,
-exactly as Algorithm 1 lines 4-10.
+Construction is a single scan in the paper, and a single pass over the
+points here: the backend's ``cell_words`` kernel bins each row at the
+finest half-resolution ``2^H`` and writes its level-``H-1`` cell as one
+or a few uint64 words (a fixed ``H-1``-bit field per axis) plus a
+parity word holding each axis's lowest coordinate bit, straight from
+the unit-box floats — no ``(η, d)`` integer coordinate matrix is ever
+built.  One sort of the cell words groups the points into level-``H-1``
+cells, and the ``half_counts`` kernel turns the group-ordered parity
+words into the half-space counts.  Every coarser level is derived by
+*aggregating cells* — shifting the finer level's unique words right by
+one bit per field and summing counts over equal parents, with
+``half_counts`` reading the children's parities from the same words —
+so the per-point work is O(η) total instead of O(η·H), and no sort ever
+compares more than a few machine words per cell.  The result is
+bit-identical to re-scanning the points per level (the seed behaviour,
+kept as :func:`_reference_build` for the equivalence tests and the perf
+baseline): each point still contributes one count to every level and
+one half-space count per axis, exactly as Algorithm 1 lines 4-10.
 """
 
 from __future__ import annotations
@@ -270,14 +275,16 @@ class CountingTree:
     Notes
     -----
     Time ``O(η d + cells·H·d)`` — the η points are touched exactly once
-    (binning, packing into ``ceil(d / (64 // w))`` uint64 words with a
-    ``w``-bit field per axis, and one sort of those words at level
-    ``H-1``); every coarser level sorts the previous level's at-most-η
-    unique words.  Working memory beyond the binned coordinates is a
-    few words per point — the sort keys, the permutation and the
-    points' parity bits — instead of ``4·d``-byte void rows; the
-    levels themselves take ``O(H η d)``, matching Algorithm 1's stated
-    complexity.
+    (binning and packing into ``ceil(d / (64 // (H-1)))`` uint64 words
+    with an ``(H-1)``-bit field per axis, in one compiled pass, and one
+    sort of those words at level ``H-1``); every coarser level sorts
+    the previous level's at-most-η unique words.  Working memory beyond
+    the input is a few words per point — the cell words, the parity
+    words, the sort permutation and the group-ordered copies of both —
+    and no ``(η, d)`` int64 coordinate matrix or float64 temporary of
+    the input's size (the numpy oracle backend still bins into one);
+    the levels themselves take ``O(H η d)``, matching Algorithm 1's
+    stated complexity.
     """
 
     def __init__(
@@ -321,8 +328,7 @@ class CountingTree:
 
                 self._levels = sharded_levels(points, self._H, jobs)
             else:
-                base = bin_points(points, self._H)
-                self._levels = aggregate_levels(base, self._H)
+                self._levels = aggregate_levels(points, self._H)
 
     @property
     def n_resolutions(self) -> int:
@@ -371,11 +377,15 @@ def bin_points(points: FloatArray, n_resolutions: int) -> IntArray:
     """Integer coordinates at the finest half-resolution ``2^H``.
 
     Every coarser level (and every half-space bit) is a right shift of
-    these coordinates.
+    these coordinates.  The clamp to the grid runs in the float domain,
+    so the int64 cast is always defined: NaN and negative values bin to
+    0, values at or past 1.0 to ``2^H - 1``.
     """
-    base = np.floor(points * (1 << n_resolutions)).astype(np.int64)
-    np.clip(base, 0, (1 << n_resolutions) - 1, out=base)
-    return base
+    scaled = points * float(1 << n_resolutions)
+    np.floor(scaled, out=scaled)
+    np.fmax(scaled, 0.0, out=scaled)
+    np.fmin(scaled, float((1 << n_resolutions) - 1), out=scaled)
+    return scaled.astype(np.int64)
 
 
 LevelArrays = tuple[IntArray, IntArray, IntArray]
@@ -385,14 +395,17 @@ between the builders — the streaming store, the shard workers and the
 merge all speak it."""
 
 
-def level_arrays(base: IntArray, n_resolutions: int) -> dict[int, LevelArrays]:
-    """Per-level SoA cell aggregates from binned coordinates (pure).
+def level_arrays(points: FloatArray, n_resolutions: int) -> dict[int, LevelArrays]:
+    """Per-level SoA cell aggregates from unit-box points (pure).
 
-    The η points are grouped into cells once, directly at level
-    ``H-1``: their coordinates ``base >> 1`` are packed into uint64
-    cell words (:func:`_pack_words`) and sorted, and each point's
-    parity bit ``base & 1`` along ``e_j`` credits ``half_counts[j]``
-    when it is even (the point sits in the lower half of its cell).
+    The active backend's ``cell_words`` kernel bins the η points and
+    packs each one's level ``H-1`` coordinates into uint64 cell words
+    with a fixed ``H-1``-bit field per axis (axis 0 most significant),
+    plus a parity word holding each axis's lowest coordinate bit.  One
+    sort of the cell words groups the points into level-``H-1`` cells;
+    a point whose parity along ``e_j`` is even sits in the lower half
+    of its cell and credits ``half_counts[j]``, which the backend's
+    ``half_counts`` kernel sums from the group-ordered parity words.
     Levels ``H-2`` down to ``1`` are derived from the next-finer
     level's unique *words*: ``(word >> 1) & field_mask`` is the packed
     parent coordinate and the bit shifted out of each field is the
@@ -404,17 +417,21 @@ def level_arrays(base: IntArray, n_resolutions: int) -> dict[int, LevelArrays]:
     which is canonical: any split of the points into chunks yields,
     after :func:`merge_level_arrays`, element-identical arrays.  This
     function is deliberately free of observability and environment
-    access — it is the body shard workers run, and workers must be
-    pure.
+    access beyond the backend choice, which cannot change a result
+    (every backend is bit-identical) — it is the body shard workers
+    run, and workers must be pure.
     """
-    n_points, d = base.shape
-    width = _field_width(base, drop=1)
-    order, starts, cell_words = _group_words(_pack_words(base, width, drop=1))
+    from repro.core.kernels import active_backend
+
+    backend = active_backend()
+    n_points, d = points.shape
+    width = n_resolutions - 1
+    words, parity = backend.cell_words(points, n_resolutions)
+    order, starts, cell_words = _group_words(words)
+    del words
     counts = np.diff(np.append(starts, n_points))
-    # One-bit fields: each point's parity along every axis.
-    parity = _pack_words(base, 1)[order]
-    del order
-    halves = _lower_half_counts(parity, d, 1, None, counts, starts)
+    halves = backend.half_counts(parity[order], None, starts, counts, d, 1)
+    del parity, order
 
     masks = _parent_masks(d, width)
     arrays = {
@@ -425,8 +442,8 @@ def level_arrays(base: IntArray, n_resolutions: int) -> dict[int, LevelArrays]:
         order, starts, cell_words = _group_words((fine_words >> 1) & masks)
         child_counts = fine_counts[order]
         counts = np.add.reduceat(child_counts, starts)
-        halves = _lower_half_counts(
-            fine_words[order], d, width, child_counts, counts, starts
+        halves = backend.half_counts(
+            fine_words[order], child_counts, starts, counts, d, width
         )
         arrays[h] = (_unpack_words(cell_words, d, width), counts, halves)
     return {h: arrays[h] for h in range(1, n_resolutions)}
@@ -466,14 +483,15 @@ def level_from_arrays(h: int, arrays: LevelArrays) -> Level:
     )
 
 
-def aggregate_levels(base: IntArray, n_resolutions: int) -> dict[int, Level]:
+def aggregate_levels(points: FloatArray, n_resolutions: int) -> dict[int, Level]:
     """Build all levels from one binning pass, coarse levels by aggregation.
 
     Thin observability wrapper over :func:`level_arrays` — cell order,
     counts and half-space counts are element-identical to
-    :func:`_reference_build`; the property tests assert it.
+    :func:`_reference_build` over :func:`bin_points` of the same
+    points; the property tests assert it.
     """
-    arrays = level_arrays(base, n_resolutions)
+    arrays = level_arrays(points, n_resolutions)
     levels: dict[int, Level] = {}
     for h in range(1, n_resolutions):
         levels[h] = level_from_arrays(h, arrays[h])
@@ -597,35 +615,6 @@ def _group_words(words: AnyArray) -> tuple[IntArray, IntArray, AnyArray]:
     else:
         starts = np.zeros(ordered.shape[0], dtype=np.int64)
     return order, starts, ordered[starts]
-
-
-def _lower_half_counts(
-    child_words: AnyArray,
-    d: int,
-    width: int,
-    child_counts: IntArray | None,
-    counts: IntArray,
-    starts: IntArray,
-) -> IntArray:
-    """Half-space counts ``P[j]`` of each group from its children's parity.
-
-    ``child_words`` are the children's packed words in group order; the
-    lowest bit of each ``width``-bit field is the child's parity along
-    that axis.  A child with an odd coordinate sits in the upper half of
-    its parent, so ``P[j]`` is the group count minus the count-weighted
-    number of odd children, one 1-D reduction per axis.
-    ``child_counts=None`` weighs every child 1 (the children are points).
-    """
-    _, word, shift = _field_layout(d, width)
-    halves = np.empty((counts.shape[0], d), dtype=np.int64)
-    for axis in range(d):
-        odd = (child_words[:, word[axis]] >> shift[axis]) & np.uint64(1)
-        # Reinterpreting the 0/1 bits as int64 is exact.
-        odd_rows = odd.view(np.int64)
-        if child_counts is not None:
-            odd_rows *= child_counts
-        halves[:, axis] = counts - np.add.reduceat(odd_rows, starts)
-    return halves
 
 
 def _reference_build(base: IntArray, h: int, n_resolutions: int, d: int) -> Level:

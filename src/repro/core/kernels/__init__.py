@@ -1,12 +1,22 @@
 """Pluggable compute backends for the MrCC hot-path kernels.
 
-The measured bottlenecks of a fit and of serving — the Laplacian
-convolution responses, the six-region binomial significance test, the
-β-cluster box-exclusion scan, and the labelling pass that assigns each
-point its correlation cluster — run through one of two interchangeable
-backends.  The first three operate on the structure-of-arrays level
-views of :mod:`repro.core.kernels.soa`; labelling operates on the
-points and the β-boxes flattened in group order:
+The measured bottlenecks of a fit and of serving run through one of two
+interchangeable backends, seven entry points each:
+
+* the Counting-tree build — ``cell_words`` bins the unit-box points
+  and packs each row's level ``H-1`` cell word and parity word, and
+  ``half_counts`` turns group-ordered child words into the half-space
+  counts ``P[j]`` of every level;
+* the Laplacian convolution responses (``level_responses``), the
+  six-region binomial significance test (``six_region`` and
+  ``binom_thetas``) and the β-cluster box-exclusion scan
+  (``box_scan``), on the structure-of-arrays level views of
+  :mod:`repro.core.kernels.soa`;
+* the labelling pass that assigns each point its correlation cluster
+  (``label_rows``), on the points and the β-boxes flattened in group
+  order.
+
+The two backends are:
 
 ``numpy``
     The vectorised reference implementation and the reproduction's
@@ -22,9 +32,10 @@ Selection is driven by ``REPRO_BACKEND`` (parsed by
 cext when it builds and numpy otherwise; naming a backend demands exactly
 that one and raises a :class:`BackendUnavailableError` carrying the
 probe's reason when it cannot load.  The oracle policy is structural:
-compiled backends either compute integer quantities exactly (responses,
-region counts, scans), repeat the oracle's float comparisons exactly
-(labelling), or flag borderline binomial tails back to the scipy
+compiled backends either compute integer quantities exactly (cell
+words, half-space counts, responses, region counts, scans), repeat the
+oracle's float arithmetic and comparisons exactly (binning, labelling),
+or flag borderline binomial tails back to the scipy
 oracle, so every backend yields bit-identical clusterings and
 obs counter streams — the cross-backend equivalence suite and the
 golden traces assert it.
@@ -40,7 +51,7 @@ import numpy as np
 from repro import env
 from repro.core.kernels import cext_backend, reference
 from repro.core.kernels.soa import LevelSoA, level_soa
-from repro.types import FloatArray, IntArray
+from repro.types import AnyArray, FloatArray, IntArray
 
 __all__ = [
     "Backend",
@@ -66,6 +77,24 @@ class _SixRegionKernel(Protocol):
     ) -> tuple[IntArray, IntArray]: ...
 
 
+class _CellWordsKernel(Protocol):
+    def __call__(
+        self, points: FloatArray, n_resolutions: int
+    ) -> tuple[AnyArray, AnyArray]: ...
+
+
+class _HalfCountsKernel(Protocol):
+    def __call__(
+        self,
+        child_words: AnyArray,
+        child_counts: IntArray | None,
+        starts: IntArray,
+        counts: IntArray,
+        d: int,
+        width: int,
+    ) -> IntArray: ...
+
+
 class _BinomThetasKernel(Protocol):
     def __call__(
         self, totals: IntArray, probs: FloatArray, alpha: float
@@ -74,11 +103,13 @@ class _BinomThetasKernel(Protocol):
 
 @dataclass(frozen=True)
 class Backend:
-    """One loaded backend: metadata plus the five kernel entry points."""
+    """One loaded backend: metadata plus the seven kernel entry points."""
 
     name: str
     compiled: bool
     version: str
+    cell_words: _CellWordsKernel
+    half_counts: _HalfCountsKernel
     level_responses: Callable[[LevelSoA], IntArray]
     box_scan: Callable[[LevelSoA, IntArray, IntArray, int, int], IntArray]
     label_rows: Callable[[FloatArray, FloatArray, FloatArray, IntArray], IntArray]
@@ -91,6 +122,8 @@ def _load_numpy() -> Backend:
         name=reference.NAME,
         compiled=reference.COMPILED,
         version=reference.version(),
+        cell_words=reference.cell_words,
+        half_counts=reference.half_counts,
         level_responses=reference.level_responses,
         box_scan=reference.box_scan,
         label_rows=reference.label_rows,
@@ -212,6 +245,25 @@ def warm_up(backend: Backend) -> None:
     soa = LevelSoA(
         h=1, coords=coords, counts=counts, half_counts=half,
         order=None, keys=void_keys(coords),
+    )
+    words, parity = backend.cell_words(
+        np.array([[0.1, 0.6], [0.9, 0.3]], dtype=np.float64), 3
+    )
+    backend.half_counts(
+        parity,
+        None,
+        np.array([0, 1], dtype=np.int64),
+        np.array([1, 1], dtype=np.int64),
+        2,
+        1,
+    )
+    backend.half_counts(
+        words,
+        np.array([2, 3], dtype=np.int64),
+        np.array([0], dtype=np.int64),
+        np.array([5], dtype=np.int64),
+        2,
+        2,
     )
     backend.level_responses(soa)
     backend.box_scan(

@@ -27,9 +27,10 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.counting_tree import _field_layout
 from repro.core.kernels.soa import LevelSoA
 from repro.env import cext_sanitize_from_env
-from repro.types import FloatArray, IntArray
+from repro.types import AnyArray, FloatArray, IntArray
 
 NAME = "cext"
 COMPILED = True
@@ -43,6 +44,77 @@ _C_SOURCE = r"""
 
 #define SF_TOLERANCE 1e-18
 #define SF_GUARD_BAND 1e-6
+
+/* Bin each row at 2^H and pack it in one pass: the level-(H-1) cell
+ * word ((H-1)-bit fields, axis 0 most significant) and the parity word
+ * (one bit per axis).  The clamp runs in the float domain so the cast
+ * is always defined: NaN and negatives bin to 0, values at or past 1.0
+ * to the last cell; truncating the clamped value equals floor. */
+void cell_words(const double *points, int64_t n, int64_t d,
+                int64_t n_resolutions, int64_t n_words, int64_t n_parity,
+                uint64_t *words, uint64_t *parity) {
+    int64_t width = n_resolutions - 1;
+    int64_t per_word = 64 / width;
+    double scale = (double)((int64_t)1 << n_resolutions);
+    double limit = scale - 1.0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t w = 0;
+        int64_t last = per_word < d ? per_word : d;
+        int64_t p = 0;
+        int64_t p_last = 64 < d ? 64 : d;
+        for (int64_t k = 0; k < d; k++) {
+            if (k == last) {
+                w += 1;
+                last += per_word;
+                if (last > d) last = d;
+            }
+            if (k == p_last) {
+                p += 1;
+                p_last += 64;
+                if (p_last > d) p_last = d;
+            }
+            double v = points[i * d + k] * scale;
+            if (!(v >= 0.0)) v = 0.0;
+            if (v > limit) v = limit;
+            uint64_t c = (uint64_t)v;
+            words[i * n_words + w] |= (c >> 1) << ((last - 1 - k) * width);
+            parity[i * n_parity + p] |= (c & 1) << (p_last - 1 - k);
+        }
+    }
+}
+
+/* P[j] per group: the group count minus the weights of the children
+ * whose field along j is odd (upper half).  Children arrive in group
+ * order and a counter walks the groups, so every subscript is a loop
+ * or group counter; n_weights == 0 weighs each child 1. */
+void half_counts(const uint64_t *child_words, int64_t m, int64_t n_words,
+                 const int64_t *child_counts, int64_t n_weights,
+                 const int64_t *starts, const int64_t *counts,
+                 int64_t n_groups, int64_t d, int64_t width, int64_t *out) {
+    int64_t per_word = 64 / width;
+    for (int64_t g = 0; g < n_groups; g++) {
+        for (int64_t k = 0; k < d; k++) out[g * d + k] = counts[g];
+    }
+    if (n_groups == 0) return;
+    int64_t group = 0;
+    for (int64_t i = 0; i < m; i++) {
+        if (group + 1 < n_groups && i == starts[group + 1]) group += 1;
+        int64_t weight = 1;
+        if (n_weights > 0) weight = child_counts[i];
+        int64_t w = 0;
+        int64_t last = per_word < d ? per_word : d;
+        for (int64_t k = 0; k < d; k++) {
+            if (k == last) {
+                w += 1;
+                last += per_word;
+                if (last > d) last = d;
+            }
+            uint64_t odd =
+                (child_words[i * n_words + w] >> ((last - 1 - k) * width)) & 1;
+            out[group * d + k] -= (int64_t)odd * weight;
+        }
+    }
+}
 
 /* Lexicographic compare of row j against row i with column `axis`
  * shifted by `delta`; early-exits at the first differing column. */
@@ -224,6 +296,7 @@ _UNAVAILABLE_REASON: str | None = None
 _I64P = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _F64P = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _U8P = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
+_U64P = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
 
 
 def _compiler() -> str | None:
@@ -317,6 +390,16 @@ def load() -> dict[str, Any]:
         )
         raise ImportError(_UNAVAILABLE_REASON) from error
 
+    lib.cell_words.restype = None
+    lib.cell_words.argtypes = [
+        _F64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64, _U64P, _U64P,
+    ]
+    lib.half_counts.restype = None
+    lib.half_counts.argtypes = [
+        _U64P, ctypes.c_int64, ctypes.c_int64, _I64P, ctypes.c_int64,
+        _I64P, _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P,
+    ]
     lib.level_responses.restype = None
     lib.level_responses.argtypes = [
         _I64P, _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P,
@@ -340,6 +423,62 @@ def load() -> dict[str, Any]:
     lib.binom_thetas.argtypes = [
         _I64P, _F64P, ctypes.c_int64, ctypes.c_double, _I64P, _U8P,
     ]
+
+    def cell_words(
+        points: FloatArray, n_resolutions: int
+    ) -> tuple[AnyArray, AnyArray]:
+        n, d = points.shape
+        if not 2 <= n_resolutions <= 32:
+            raise ValueError(
+                f"n_resolutions must lie in [2, 32] to bin into uint64 "
+                f"cell words, got {n_resolutions}"
+            )
+        n_words = _field_layout(d, n_resolutions - 1)[0]
+        n_parity = _field_layout(d, 1)[0]
+        words = np.zeros((n, n_words), dtype=np.uint64)
+        parity = np.zeros((n, n_parity), dtype=np.uint64)
+        lib.cell_words(
+            np.ascontiguousarray(points, dtype=np.float64), n, d,
+            n_resolutions, n_words, n_parity, words, parity,
+        )
+        return words, parity
+
+    def half_counts(
+        child_words: AnyArray,
+        child_counts: IntArray | None,
+        starts: IntArray,
+        counts: IntArray,
+        d: int,
+        width: int,
+    ) -> IntArray:
+        m, n_words = child_words.shape
+        n_groups = counts.shape[0]
+        weights = (
+            np.empty(0, dtype=np.int64) if child_counts is None else child_counts
+        )
+        # The C loop trusts these shapes for its indexing.
+        if not (
+            1 <= width <= 63
+            and n_words >= _field_layout(d, width)[0]
+            and starts.shape[0] == n_groups
+            and weights.shape[0] in (0, m)
+            and (n_groups > 0 or m == 0)
+        ):
+            raise ValueError(
+                f"half_counts inputs do not match: {m} children in "
+                f"{n_words} words, {weights.shape[0]} weights, "
+                f"{starts.shape[0]} starts, {n_groups} groups, {d} axes "
+                f"of width {width}"
+            )
+        out = np.empty((n_groups, d), dtype=np.int64)
+        lib.half_counts(
+            np.ascontiguousarray(child_words, dtype=np.uint64), m, n_words,
+            np.ascontiguousarray(weights, dtype=np.int64), weights.shape[0],
+            np.ascontiguousarray(starts, dtype=np.int64),
+            np.ascontiguousarray(counts, dtype=np.int64),
+            n_groups, d, width, out,
+        )
+        return out
 
     def level_responses(soa: LevelSoA) -> IntArray:
         m, d = soa.coords.shape
@@ -422,6 +561,8 @@ def load() -> dict[str, Any]:
         "name": NAME,
         "compiled": COMPILED,
         "version": Path(compiler).name + ("+asan" if sanitize else ""),
+        "cell_words": cell_words,
+        "half_counts": half_counts,
         "level_responses": level_responses,
         "box_scan": box_scan,
         "label_rows": label_rows,

@@ -11,8 +11,12 @@ passes compare the C loop skeletons and ``#define`` constants against
 it, so a C edit that drifts from the spec fails statically even before
 the Hypothesis bit-identity suite runs.
 
-Four structural facts the kernels exploit:
+Five structural facts the kernels exploit:
 
+* a packed cell word keeps one fixed-width field per axis, axis 0 most
+  significant, so a row is binned and packed in one pass over its
+  axes, and a child's parity along every axis is the lowest bit of
+  its field (see :func:`cell_words` and :func:`half_counts`);
 * level rows arrive in lexicographic key order, so shifting one
   coordinate column by ±1 preserves the order — face-neighbour joins
   are linear merges, not per-probe binary searches;
@@ -33,7 +37,7 @@ import math
 
 import numpy as np
 
-from repro.types import NOISE_LABEL, FloatArray, IntArray
+from repro.types import NOISE_LABEL, AnyArray, FloatArray, IntArray
 
 SF_GUARD_BAND = 1e-6
 """Relative distance from ``alpha`` below which a tail sum is treated
@@ -48,6 +52,104 @@ stays negligible."""
 
 _SF_TOLERANCE = 1e-18
 """Early-termination threshold for the geometric tail remainder."""
+
+
+def cell_words(points: FloatArray, n_resolutions: int) -> tuple[AnyArray, AnyArray]:
+    """Bin every row at ``2^H`` and pack it: cell word and parity word.
+
+    Returns ``(words, parity)``.  ``words`` holds each row's level
+    ``H-1`` cell, ``floor(x·2^H) >> 1`` per axis, in fixed ``H-1``-bit
+    fields, ``64 // (H-1)`` axes to a word with axis 0 in the most
+    significant field (the layout of
+    :func:`repro.core.counting_tree._field_layout`).  ``parity`` holds
+    the dropped bit, ``floor(x·2^H) & 1``, in one-bit fields.  The
+    clamp runs in the float domain before the integer cast, so the cast
+    is always defined: NaN and negative values bin to cell 0, values at
+    or past 1.0 to the last cell.  Truncating the clamped non-negative
+    value equals flooring it.
+    """
+    n, d = points.shape
+    width = n_resolutions - 1
+    per_word = 64 // width
+    n_words = -(-d // per_word) if d > 0 else 1
+    n_parity = -(-d // 64) if d > 0 else 1
+    scale = float(1 << n_resolutions)
+    limit = scale - 1.0
+    words = np.zeros((n, n_words), dtype=np.uint64)
+    parity = np.zeros((n, n_parity), dtype=np.uint64)
+    for i in range(n):
+        w = 0
+        last = per_word if per_word < d else d
+        p = 0
+        p_last = 64 if 64 < d else d
+        for k in range(d):
+            if k == last:
+                w += 1
+                last += per_word
+                if last > d:
+                    last = d
+            if k == p_last:
+                p += 1
+                p_last += 64
+                if p_last > d:
+                    p_last = d
+            v = points[i, k] * scale
+            if not v >= 0.0:
+                v = 0.0
+            if v > limit:
+                v = limit
+            c = int(v)
+            words[i, w] |= np.uint64((c >> 1) << ((last - 1 - k) * width))
+            parity[i, p] |= np.uint64((c & 1) << (p_last - 1 - k))
+    return words, parity
+
+
+def half_counts(
+    child_words: AnyArray,
+    child_counts: IntArray,
+    starts: IntArray,
+    counts: IntArray,
+    d: int,
+    width: int,
+) -> IntArray:
+    """Half-space counts ``P[j]`` of every group from its children's words.
+
+    ``child_words`` are the children's packed words (``width``-bit
+    fields) in group order, group ``g`` starting at row ``starts[g]``;
+    the lowest bit of a field is the child's parity along that axis.
+    An odd child sits in the upper half of its parent, so ``P[j]`` is
+    the group count ``counts[g]`` minus the weights of the odd
+    children.  ``child_counts`` weighs each child; an empty array
+    weighs every child 1 (the children are points).  The groups are
+    walked with a counter, so no subscript is read out of the data.
+    """
+    m, n_words = child_words.shape
+    n_groups = counts.shape[0]
+    per_word = 64 // width
+    out = np.empty((n_groups, d), dtype=np.int64)
+    for g in range(n_groups):
+        for k in range(d):
+            out[g, k] = counts[g]
+    if n_groups == 0:
+        return out
+    group = 0
+    for i in range(m):
+        if group + 1 < n_groups and i == starts[group + 1]:
+            group += 1
+        weight = 1
+        if child_counts.shape[0] > 0:
+            weight = int(child_counts[i])
+        w = 0
+        last = per_word if per_word < d else d
+        for k in range(d):
+            if k == last:
+                w += 1
+                last += per_word
+                if last > d:
+                    last = d
+            odd = (int(child_words[i, w]) >> ((last - 1 - k) * width)) & 1
+            out[group, k] -= odd * weight
+    return out
 
 
 def level_responses(coords: IntArray, counts: IntArray, limit: int) -> IntArray:

@@ -1,13 +1,15 @@
 """The numpy reference backend — the reproduction's bit-identity oracle.
 
 Every kernel here is the vectorised numpy formulation the package ran
-before the backend layer existed: integer arithmetic plus sorted-key
-``searchsorted`` joins for the convolution and the six-region
-neighbourhood, the interval test for the box-exclusion scan and for
-point labelling, and the scipy binomial inverse survival function for
-the critical values.  The compiled backends are validated against
-these functions — any disagreement is a bug in the compiled path,
-never in this one.
+before the backend layer existed: binning into an int64 coordinate
+matrix and packing it with blocked dot products for the tree's cell
+words, one ``reduceat`` per axis for its half-space counts, integer
+arithmetic plus sorted-key ``searchsorted`` joins for the convolution
+and the six-region neighbourhood, the interval test for the
+box-exclusion scan and for point labelling, and the scipy binomial
+inverse survival function for the critical values.  The compiled
+backends are validated against these functions — any disagreement is a
+bug in the compiled path, never in this one.
 """
 
 from __future__ import annotations
@@ -15,9 +17,14 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
-from repro.core.counting_tree import void_keys
+from repro.core.counting_tree import (
+    _field_layout,
+    _pack_words,
+    bin_points,
+    void_keys,
+)
 from repro.core.kernels.soa import LevelSoA
-from repro.types import NOISE_LABEL, FloatArray, IntArray
+from repro.types import NOISE_LABEL, AnyArray, FloatArray, IntArray
 
 NAME = "numpy"
 COMPILED = False
@@ -26,6 +33,38 @@ COMPILED = False
 def version() -> str:
     """Version string recorded in benchmarks (the numpy release)."""
     return str(np.__version__)
+
+
+def cell_words(points: FloatArray, n_resolutions: int) -> tuple[AnyArray, AnyArray]:
+    """Level-``H-1`` cell words and parity words: bin, then pack twice."""
+    base = bin_points(points, n_resolutions)
+    return _pack_words(base, n_resolutions - 1, drop=1), _pack_words(base, 1)
+
+
+def half_counts(
+    child_words: AnyArray,
+    child_counts: IntArray | None,
+    starts: IntArray,
+    counts: IntArray,
+    d: int,
+    width: int,
+) -> IntArray:
+    """Half-space counts ``P[j]`` of each group, one ``reduceat`` per axis.
+
+    A child whose field along ``e_j`` is odd sits in the upper half of
+    its parent, so ``P[j]`` is the group count minus the count-weighted
+    number of odd children; ``child_counts=None`` weighs every child 1.
+    """
+    _, word, shift = _field_layout(d, width)
+    halves = np.empty((counts.shape[0], d), dtype=np.int64)
+    for axis in range(d):
+        odd = (child_words[:, word[axis]] >> shift[axis]) & np.uint64(1)
+        # Reinterpreting the 0/1 bits as int64 is exact.
+        odd_rows = odd.view(np.int64)
+        if child_counts is not None:
+            odd_rows *= child_counts
+        halves[:, axis] = counts - np.add.reduceat(odd_rows, starts)
+    return halves
 
 
 def level_responses(soa: LevelSoA) -> IntArray:

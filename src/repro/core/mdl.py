@@ -69,6 +69,13 @@ def mdl_cut_threshold(relevances: FloatArray) -> float:
     Sorts ``relevances`` ascending and returns ``o[p]`` for the best
     cut position ``p``; axes with relevance ≥ this value are relevant
     to the new β-cluster.
+
+    Tie rule: relevance is decided by value, not by sorted position.
+    When the cut falls inside a run of equal values, every axis tied
+    with the threshold is relevant, including those sorted before the
+    cut.  For example, on ``[10, 10, 70, 70, 70, 70, 81, 84, 85, 86]``
+    the cut position is 2 (between the two 10s), the threshold is 10.0,
+    and both axes at 10 are relevant.
     """
     relevances = np.asarray(relevances, dtype=np.float64)
     check_array("relevances", relevances, dtype=np.float64, ndim=1, finite=True)

@@ -29,7 +29,6 @@ from repro.core.counting_tree import (
     CountingTree,
     Level,
     LevelArrays,
-    bin_points,
     level_arrays,
     level_from_arrays,
     merge_level_arrays,
@@ -100,9 +99,7 @@ class TreeStreamBuilder:
             raise ValueError("all chunks must share the same dimensionality")
         obs.incr("stream.chunks")
         obs.incr("stream.points", int(chunk.shape[0]))
-        arrays = level_arrays(
-            bin_points(chunk, self._n_resolutions), self._n_resolutions
-        )
+        arrays = level_arrays(chunk, self._n_resolutions)
         self.absorb_arrays(arrays, n_points=int(chunk.shape[0]))
 
     def absorb_arrays(
@@ -188,13 +185,14 @@ def shard_level_arrays(
 ) -> dict[int, LevelArrays]:
     """One shard worker's partial tree (pure — runs in worker processes).
 
-    Bin the shard's points at the finest half-resolution and cascade
-    them into per-level SoA aggregates.  Deliberately free of
-    validation, observability and environment access: contracts run
+    Bin the shard's points into packed cell words and cascade them into
+    per-level SoA aggregates (:func:`~repro.core.counting_tree.level_arrays`).
+    Deliberately free of validation and observability: contracts run
     once in the parent over the whole dataset, and worker output must
-    depend on nothing but the argument values.
+    depend on nothing but the argument values (the backend the worker
+    picks cannot change it — every backend is bit-identical).
     """
-    return level_arrays(bin_points(shard, n_resolutions), n_resolutions)
+    return level_arrays(shard, n_resolutions)
 
 
 def _shard_task(

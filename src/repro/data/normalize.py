@@ -49,12 +49,16 @@ def apply_minmax(
     if points.shape[0] == 0:
         return points.copy()
     safe_span = np.where(span > 0.0, span, 1.0)
-    scaled = (points - lo) / safe_span
+    # One fresh array, then in place: the same float operations as
+    # ``np.clip((points - lo) / safe_span, ...)`` without two more
+    # input-sized temporaries.  ``points`` itself is never written.
+    scaled = points - lo
+    scaled /= safe_span
     # Exact zero span marks a constant column (hi - lo of identical
     # float64 values is exactly 0.0); a tolerance would squash
     # near-constant but informative axes.
     scaled[:, span == 0.0] = 0.0  # repro-lint: disable=R002
-    return np.clip(scaled, 0.0, _BELOW_ONE)
+    return np.clip(scaled, 0.0, _BELOW_ONE, out=scaled)
 
 
 def minmax_normalize(points: np.ndarray) -> np.ndarray:

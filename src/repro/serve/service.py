@@ -40,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
+from repro.core.contracts import ContractError, check_array
 from repro.core.correlation_cluster import label_points
 from repro.data.normalize import apply_minmax
 from repro.env import (
@@ -310,7 +311,10 @@ class BatchLabeller:
 
         Returns the per-point label vector (noise = ``-1``), identical
         to :meth:`repro.serve.FittedModel.label` on the same points —
-        micro-batching never changes a label.  Raises whatever the
+        micro-batching never changes a label.  Raises
+        :class:`~repro.core.contracts.ContractError` when the points
+        hold NaN or infinite values (as ``FittedModel.label`` does; the
+        other requests of its batch are still labelled), whatever the
         model load or an injected fault raised for this request, and
         :class:`LabellerStopped` once :meth:`stop` has begun.
         """
@@ -425,6 +429,16 @@ class BatchLabeller:
                     f"query points have {points.shape[1]} axes, model "
                     f"{model_name!r} was fitted on {model.dimensionality}"
                 )
+            # One finiteness scan per batch; a scan per request cost
+            # about 9 % of backlog throughput at ~100 points a request.
+            try:
+                check_array("points", points, dtype=np.float64, ndim=2, finite=True)
+            except ContractError:
+                requests = self._fail_non_finite(requests)
+                points = np.concatenate(
+                    [request.points for request in requests] or [points[:0]],
+                    axis=0,
+                )
             if model.normalizer is not None:
                 points = apply_minmax(points, *model.normalizer)
             labels = label_points(points, model.betas, model.groups)
@@ -439,6 +453,24 @@ class BatchLabeller:
             request.future.set_result(labels[offset : offset + m])
             offset += m
             self.latencies.append(now - request.submitted)
+
+    def _fail_non_finite(self, requests: list[_Request]) -> list[_Request]:
+        """Fail each request holding NaN or infinite points; keep the rest.
+
+        The same contract as :meth:`repro.serve.FittedModel.label`, so a
+        bad request fails alone and the others are still labelled.
+        """
+        kept = []
+        for request in requests:
+            try:
+                check_array(
+                    "points", request.points, dtype=np.float64, ndim=2, finite=True
+                )
+            except ContractError as exc:
+                self._fail(request, exc)
+            else:
+                kept.append(request)
+        return kept
 
     def _fail(self, request: _Request, exc: Exception) -> None:
         self.errors += 1

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.contracts import ContractError
+from repro.core.kernels import available_backends, get_backend
 from repro.core.counting_tree import (
     CountingTree,
     _field_layout,
-    _field_width,
     aggregate_levels,
+    merge_level_arrays,
     reference_levels,
     void_keys,
 )
@@ -274,6 +275,11 @@ def permuted_binned_points(draw):
     return base, n_resolutions, np.array(order, dtype=np.int64)
 
 
+def _on_grid(base, n_resolutions):
+    """Unit-box points that bin exactly to ``base`` (``k / 2^H`` is exact)."""
+    return base / float(1 << n_resolutions)
+
+
 def _constant_base(n_points, d, n_resolutions, value):
     return np.full((n_points, d), value, dtype=np.int64), n_resolutions
 
@@ -285,9 +291,9 @@ def _spread_base(n_points, d, n_resolutions, seed):
     return base, n_resolutions
 
 
-def _words_at_finest_level(base):
-    d = base.shape[1]
-    n_words, _, _ = _field_layout(d, _field_width(base, drop=1))
+def _words_at_finest_level(base, n_resolutions):
+    # The tree packs level H-1 in fixed (H-1)-bit fields.
+    n_words, _, _ = _field_layout(base.shape[1], n_resolutions - 1)
     return n_words
 
 
@@ -309,8 +315,8 @@ class TestPackedWordGrouping:
     SHALLOW_MULTI_WORD = _spread_base(500, 20, 6, seed=8)
 
     def test_examples_cover_multi_word_layouts(self):
-        assert _words_at_finest_level(self.MULTI_WORD[0]) > 1
-        assert _words_at_finest_level(self.SHALLOW_MULTI_WORD[0]) > 1
+        assert _words_at_finest_level(*self.MULTI_WORD) > 1
+        assert _words_at_finest_level(*self.SHALLOW_MULTI_WORD) > 1
 
     @given(binned_points())
     @example(MULTI_WORD)
@@ -323,7 +329,7 @@ class TestPackedWordGrouping:
     def test_aggregate_levels_equal_reference(self, drawn):
         base, n_resolutions = drawn
         _assert_levels_identical(
-            aggregate_levels(base, n_resolutions),
+            aggregate_levels(_on_grid(base, n_resolutions), n_resolutions),
             reference_levels(base, n_resolutions, base.shape[1]),
         )
 
@@ -332,8 +338,9 @@ class TestPackedWordGrouping:
     @settings(max_examples=40, deadline=None)
     def test_row_permutation_leaves_levels_unchanged(self, drawn):
         base, n_resolutions, order = drawn
-        original = aggregate_levels(base, n_resolutions)
-        permuted = aggregate_levels(base[order], n_resolutions)
+        points = _on_grid(base, n_resolutions)
+        original = aggregate_levels(points, n_resolutions)
+        permuted = aggregate_levels(points[order], n_resolutions)
         for h in original:
             for name in ("coords", "n", "half_counts"):
                 assert np.array_equal(
@@ -343,9 +350,99 @@ class TestPackedWordGrouping:
     def test_zero_axis_points_share_one_cell(self):
         base = np.zeros((5, 0), dtype=np.int64)
         _assert_levels_identical(
-            aggregate_levels(base, 4), reference_levels(base, 4, 0)
+            aggregate_levels(_on_grid(base, 4), 4), reference_levels(base, 4, 0)
         )
 
     def test_negative_coordinates_raise_contract_error(self):
+        # Binning clamps into the grid, so negative coordinates can only
+        # arrive as pre-aggregated arrays; the word packer rejects them.
+        cells = (
+            np.array([[-2, 0]], dtype=np.int64),
+            np.array([1], dtype=np.int64),
+            np.array([[1, 1]], dtype=np.int64),
+        )
         with pytest.raises(ContractError, match="non-negative"):
-            aggregate_levels(np.array([[-2, 0]], dtype=np.int64), 4)
+            merge_level_arrays(cells, cells)
+
+
+COMPILED_BACKENDS = [
+    name for name in available_backends() if get_backend(name).compiled
+]
+
+
+@pytest.mark.parametrize("backend", COMPILED_BACKENDS or [None])
+class TestCompiledTreeBuild:
+    """The compiled tree kernels against the numpy oracle and the rescan."""
+
+    @pytest.fixture(autouse=True)
+    def _require_compiled(self, backend):
+        if backend is None:
+            pytest.skip("no compiled backend loads on this machine")
+
+    @staticmethod
+    def _levels(backend, monkeypatch, build):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        tree = build()
+        return {h: tree.level(h) for h in tree.levels}
+
+    @given(drawn=binned_points())
+    @example(TestPackedWordGrouping.MULTI_WORD)
+    @settings(max_examples=30, deadline=None)
+    def test_levels_equal_numpy_and_rescan(self, backend, drawn):
+        base, n_resolutions = drawn
+        points = _on_grid(base, n_resolutions)
+        expected = reference_levels(base, n_resolutions, base.shape[1])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_BACKEND", "numpy")
+            oracle = aggregate_levels(points, n_resolutions)
+            patch.setenv("REPRO_BACKEND", backend)
+            compiled = aggregate_levels(points, n_resolutions)
+        _assert_levels_identical(compiled, oracle)
+        _assert_levels_identical(compiled, expected)
+
+    def test_chunked_and_sharded_builds_equal_serial(self, backend, monkeypatch):
+        from repro.core.streaming import build_tree_from_chunks
+
+        rng = np.random.default_rng(11)
+        points = np.clip(
+            rng.normal(0.4, 0.15, size=(3000, 9)), 0.0, np.nextafter(1.0, 0.0)
+        )
+        serial = self._levels(
+            backend, monkeypatch, lambda: CountingTree(points, 6, n_jobs=1)
+        )
+        chunked = self._levels(
+            backend,
+            monkeypatch,
+            lambda: build_tree_from_chunks(np.array_split(points, 7), 6),
+        )
+        sharded = self._levels(
+            backend, monkeypatch, lambda: CountingTree(points, 6, n_jobs=2)
+        )
+        _assert_levels_identical(chunked, serial)
+        _assert_levels_identical(sharded, serial)
+
+    def test_non_finite_values_bin_to_a_defined_cell(self, backend, monkeypatch):
+        # With contracts off nothing rejects NaN/inf; binning clamps in
+        # the float domain, so NaN and -inf land in cell 0, +inf in the
+        # last cell, on every backend.
+        from repro.core import contracts
+
+        points = np.array(
+            [[np.nan, 0.3], [-np.inf, 0.3], [np.inf, 0.3], [0.0, np.nan]]
+        )
+        clamped = np.array(
+            [[0.0, 0.3], [0.0, 0.3], [np.nextafter(1.0, 0.0), 0.3], [0.0, 0.0]]
+        )
+        with contracts.disabled():
+            built = {
+                name: self._levels(
+                    name, monkeypatch, lambda: CountingTree(points, 6)
+                )
+                for name in ("numpy", backend)
+            }
+        expected = self._levels(
+            "numpy", monkeypatch, lambda: CountingTree(clamped, 6)
+        )
+        _assert_levels_identical(built[backend], expected)
+        _assert_levels_identical(built["numpy"], expected)
+        assert built[backend][5].n.tolist() == [1, 2, 1]

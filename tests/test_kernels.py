@@ -42,6 +42,18 @@ class _LoopsAdapter:
     name = "loops"
 
     @staticmethod
+    def cell_words(points, n_resolutions):
+        return loops.cell_words(points, n_resolutions)
+
+    @staticmethod
+    def half_counts(child_words, child_counts, starts, counts, d, width):
+        if child_counts is None:
+            child_counts = np.empty(0, dtype=np.int64)
+        return loops.half_counts(
+            child_words, child_counts, starts, counts, d, width
+        )
+
+    @staticmethod
     def level_responses(soa):
         return loops.level_responses(soa.coords, soa.counts, soa.limit)
 
@@ -130,6 +142,60 @@ def label_problems(draw):
     nan_rows = np.flatnonzero(rng.random(n) < 0.15)
     points[nan_rows, rng.integers(0, d, size=nan_rows.size)] = np.nan
     return points, lower, upper, box_group
+
+
+@st.composite
+def unit_points(draw):
+    """``(points, H)``: unit-box rows with many values exactly on ``k/2^H``.
+
+    ``d`` reaches 70, so the ``H-1``-bit cell fields span several words
+    at every ``H`` and the one-bit parity fields span two.  Each value
+    is a grid point ``k/2^H`` (a bin's lower edge), ``0.0``,
+    ``nextafter(1, 0)`` or a uniform draw.
+    """
+    seed = draw(st.integers(0, 10_000))
+    # The explicit widths straddle the parity word's 64-axis boundary.
+    d = draw(st.integers(1, 70) | st.sampled_from([63, 64, 65, 70]))
+    n_resolutions = draw(st.integers(3, 32))
+    n = draw(st.integers(0, 30))
+    rng = np.random.default_rng(seed)
+    scale = float(1 << n_resolutions)
+    grid = rng.integers(0, 1 << n_resolutions, size=(n, d)) / scale
+    choice = rng.integers(0, 4, size=(n, d))
+    points = np.where(choice == 0, grid, rng.random((n, d)))
+    points[choice == 1] = 0.0
+    points[choice == 2] = np.nextafter(1.0, 0.0)
+    return points, n_resolutions
+
+
+@st.composite
+def half_count_problems(draw):
+    """Group-ordered child words, weights, starts and group counts.
+
+    The children are a :func:`unit_points` draw packed by the oracle:
+    point level (one-bit parity words, unit weights) or a coarser level
+    (``H-1``-bit cell words, random positive weights).  Groups are runs
+    of the sorted children, so a group mixes parities on every axis.
+    """
+    points, n_resolutions = draw(unit_points())
+    words, parity = reference.cell_words(points, n_resolutions)
+    point_level = draw(st.booleans())
+    child_words, width = (parity, 1) if point_level else (words, n_resolutions - 1)
+    m, d = points.shape
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    child_words = child_words[rng.permutation(m)]
+    cuts = np.flatnonzero(rng.random(m) < 0.3)
+    starts = np.unique(np.concatenate(([0], cuts))).astype(np.int64)
+    if m == 0:
+        starts = np.empty(0, dtype=np.int64)
+    child_counts = (
+        None if point_level else rng.integers(1, 1000, size=m).astype(np.int64)
+    )
+    weights = np.ones(m, dtype=np.int64) if child_counts is None else child_counts
+    counts = (
+        np.add.reduceat(weights, starts) if m else np.empty(0, dtype=np.int64)
+    )
+    return child_words, child_counts, starts, counts, d, width
 
 
 class TestBackendSelection:
@@ -359,6 +425,29 @@ class TestKernelEquivalence:
         np.testing.assert_array_equal(center, ref_center)
         np.testing.assert_array_equal(total, ref_total)
 
+    @given(drawn=unit_points())
+    @settings(max_examples=60, deadline=None)
+    def test_cell_words_bit_identical(self, name, drawn):
+        impl = implementation(name)
+        points, n_resolutions = drawn
+        words, parity = impl.cell_words(points, n_resolutions)
+        ref_words, ref_parity = reference.cell_words(points, n_resolutions)
+        assert words.dtype == ref_words.dtype == np.uint64
+        np.testing.assert_array_equal(words, ref_words)
+        np.testing.assert_array_equal(parity, ref_parity)
+
+    @given(problem=half_count_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_half_counts_bit_identical(self, name, problem):
+        impl = implementation(name)
+        child_words, child_counts, starts, counts, d, width = problem
+        halves = impl.half_counts(child_words, child_counts, starts, counts, d, width)
+        expected = reference.half_counts(
+            child_words, child_counts, starts, counts, d, width
+        )
+        assert halves.dtype == np.int64
+        np.testing.assert_array_equal(halves, expected)
+
     @given(problem=label_problems())
     @settings(max_examples=60, deadline=None)
     def test_label_rows_bit_identical(self, name, problem):
@@ -406,6 +495,43 @@ def test_label_rows_rejects_mismatched_boxes(name):
         kernels.get_backend(name).label_rows(
             points, bounds, bounds, np.array([0, 1], dtype=np.int64)
         )
+
+
+@pytest.mark.parametrize("name", COMPILED or [None])
+def test_tree_kernel_bindings_reject_bad_inputs(name):
+    # The C loop walks the groups with a counter; the binding checks the
+    # shapes that keep every subscript in bounds.
+    if name is None:
+        pytest.skip("no compiled backend loads on this machine")
+    backend = kernels.get_backend(name)
+    words = np.zeros((3, 1), dtype=np.uint64)
+    one = np.array([0], dtype=np.int64)
+    with pytest.raises(ValueError, match="do not match"):
+        backend.half_counts(words, None, np.empty(0, dtype=np.int64),
+                            np.empty(0, dtype=np.int64), 2, 1)
+    with pytest.raises(ValueError, match="do not match"):
+        backend.half_counts(words, np.ones(2, dtype=np.int64), one,
+                            np.array([3], dtype=np.int64), 2, 1)
+    with pytest.raises(ValueError, match="do not match"):
+        backend.half_counts(words, None, one, np.array([3], dtype=np.int64),
+                            70, 1)
+    with pytest.raises(ValueError, match="n_resolutions"):
+        backend.cell_words(np.zeros((1, 2)), 33)
+
+
+@pytest.mark.parametrize("name", AVAILABLE)
+def test_cell_words_bin_non_finite_values_into_the_grid(name):
+    # Clamped in the float domain, so no cast is undefined: NaN and
+    # -inf bin to cell 0, +inf and values past 1.0 to the last cell.
+    # NaN also sits in the last axis, whose field has shift 0, so a
+    # wild cast could not be shifted out of the word.
+    points = np.array([[np.nan, -np.inf, np.inf, 7.5, -0.25, np.nan]])
+    words, parity = kernels.get_backend(name).cell_words(points, 3)
+    ref_words, ref_parity = reference.cell_words(
+        np.array([[0.0, 0.0, 0.999, 0.999, 0.0, 0.0]]), 3
+    )
+    np.testing.assert_array_equal(words, ref_words)
+    np.testing.assert_array_equal(parity, ref_parity)
 
 
 class TestBinomialTail:

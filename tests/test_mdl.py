@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.mdl import (
@@ -62,6 +62,10 @@ class TestMdlCutPosition:
         low=st.lists(st.floats(10.0, 11.0), min_size=1, max_size=8),
         high=st.lists(st.floats(70.0, 90.0), min_size=1, max_size=8),
     )
+    @example(
+        low=[10.0, 10.0],
+        high=[70.0, 70.0, 70.0, 70.0, 81.0, 84.0, 85.0, 86.0],
+    )
     @settings(max_examples=40, deadline=None)
     def test_bimodal_arrays_cut_between_modes(self, low, high):
         values = np.sort(np.array(low + high))
@@ -73,8 +77,20 @@ class TestMdlCutPosition:
         # are acceptable); keeping everything (p == 1) is also valid
         # when a mode is a single point.
         assert all(v >= threshold for v in high)
-        low_in_relevant = sum(1 for v in low if v >= threshold)
+        # Stragglers are counted by sorted position, not by value: the
+        # low values occupy positions 0 .. len(low) - 1, and the
+        # relevant partition starts at position p - 1.  Counting by
+        # value would count a low-mode tie at the cut twice.
+        low_in_relevant = max(0, len(low) - (p - 1))
         assert low_in_relevant <= 1 or p == 1
+
+    def test_tied_low_mode_at_the_cut(self):
+        # A recorded example: the cut falls between the two tied low
+        # values, so one of them sits in the relevant partition.
+        values = np.array(
+            [10.0, 10.0, 70.0, 70.0, 70.0, 70.0, 81.0, 84.0, 85.0, 86.0]
+        )
+        assert mdl_cut_position(values) == 2
 
 
 class TestMdlCutThreshold:
@@ -83,6 +99,17 @@ class TestMdlCutThreshold:
         threshold = mdl_cut_threshold(relevances)
         relevant = relevances >= threshold
         assert relevant.tolist() == [False, True, False, True, False]
+
+    def test_ties_at_the_threshold_are_all_relevant(self):
+        # The cut position splits the tied 10.0s (p == 2), but relevance
+        # is decided by value, so every axis tied with the threshold is
+        # relevant.
+        relevances = np.array(
+            [70.0, 10.0, 84.0, 70.0, 81.0, 10.0, 86.0, 70.0, 85.0, 70.0]
+        )
+        threshold = mdl_cut_threshold(relevances)
+        assert threshold == 10.0
+        assert bool(np.all(relevances >= threshold))
 
     def test_threshold_is_one_of_the_values(self):
         relevances = np.array([30.0, 10.0, 90.0])

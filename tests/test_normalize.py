@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.data.normalize import clip_unit_cube, minmax_normalize
+from repro.data.normalize import (
+    apply_minmax,
+    clip_unit_cube,
+    minmax_normalize,
+    minmax_params,
+)
 
 
 class TestMinmaxNormalize:
@@ -49,6 +54,42 @@ class TestMinmaxNormalize:
         out = minmax_normalize(points)
         assert np.all(out >= 0.0)
         assert np.all(out < 1.0)
+
+
+class TestApplyMinmax:
+    @given(
+        points=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 30), st.integers(1, 6)),
+            elements=st.floats(-1e6, 1e6, allow_nan=False),
+        ),
+        queries=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 30), st.just(6)),
+            elements=st.floats(-2e6, 2e6, allow_nan=False),
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_equals_the_out_of_place_formula(self, points, queries):
+        # Query rows beyond the fitted range exercise the clip; the
+        # in-place arithmetic must match the plain expression bit for bit.
+        queries = queries[:, : points.shape[1]]
+        lo, span = minmax_params(points)
+        expected = np.clip(
+            (queries - lo) / np.where(span > 0.0, span, 1.0), 0.0,
+            np.nextafter(1.0, 0.0),
+        )
+        expected[:, span == 0.0] = 0.0
+        assert apply_minmax(queries, lo, span).tobytes() == expected.tobytes()
+
+    def test_never_writes_the_callers_input(self):
+        points = np.array([[3.0, -1.0, 7.0], [5.0, 4.0, 7.0], [9.0, 2.0, 7.0]])
+        before = points.copy()
+        lo, span = minmax_params(points)
+        out = apply_minmax(points, lo, span)
+        assert np.array_equal(points, before)
+        assert not np.shares_memory(out, points)
+        assert not np.shares_memory(out, lo) and not np.shares_memory(out, span)
 
 
 class TestClipUnitCube:

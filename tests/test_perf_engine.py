@@ -49,9 +49,10 @@ class TestAggregatedBuildEquivalence:
     def test_matches_per_level_rescan(self, eta, d, n_resolutions, seed):
         rng = np.random.default_rng(seed)
         points = _clustered_points(rng, eta, d)
-        base = bin_points(points, n_resolutions)
-        aggregated = aggregate_levels(base, n_resolutions)
-        rescanned = reference_levels(base, n_resolutions, d)
+        aggregated = aggregate_levels(points, n_resolutions)
+        rescanned = reference_levels(
+            bin_points(points, n_resolutions), n_resolutions, d
+        )
         assert set(aggregated) == set(rescanned)
         for h in aggregated:
             fast, slow = aggregated[h], rescanned[h]

@@ -728,6 +728,36 @@ class TestFFIPass:
         assert codes(findings) == ["A403"]
         assert "float64" in findings[0].message
 
+    def test_uint64_pointers_are_checked(self, tmp_path):
+        # Packed cell words travel as uint64_t; the dialect knows the
+        # type, so a matching uint64 ndpointer is clean and an int64
+        # one (binding or call site) is flagged.
+        source = (
+            FFI_FIXTURE.replace("const int64_t *values", "const uint64_t *values")
+            .replace(
+                "_I64P = np",
+                "_U64P = np.ctypeslib.ndpointer("
+                'dtype=np.uint64, flags="C_CONTIGUOUS")\n_I64P = np',
+            )
+            .replace("[_I64P, ctypes.c_int64", "[_U64P, ctypes.c_int64")
+            .replace(
+                "np.ascontiguousarray(values, dtype=np.int64)",
+                "np.ascontiguousarray(values, dtype=np.uint64)",
+            )
+        )
+        assert self._analyze(tmp_path, source) == []
+        drifted = source.replace("[_U64P, ctypes.c_int64", "[_I64P, ctypes.c_int64")
+        findings = self._analyze(tmp_path, drifted)
+        assert codes(findings) == ["A401", "A403"]
+        assert "uint64_t (uint64)" in findings[0].message
+        unproven = source.replace(
+            "np.ascontiguousarray(values, dtype=np.uint64)",
+            "np.ascontiguousarray(values, dtype=np.int64)",
+        )
+        findings = self._analyze(tmp_path, unproven)
+        assert codes(findings) == ["A403"]
+        assert "requires uint64" in findings[0].message
+
     def test_module_without_c_source_is_ignored(self, tmp_path):
         project = make_project(tmp_path, {"cext_mod.py": "X = 1\n"})
         assert analyze_ffi(project, cext_module="cext_mod") == []

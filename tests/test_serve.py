@@ -511,6 +511,35 @@ class TestBatchLabeller:
         assert np.array_equal(third, estimator.labels_[80:120])
         assert stats["errors"] == 1 and stats["requests"] == 3
 
+    def test_non_finite_request_fails_alone(self, small_fit, tmp_path):
+        # Served labels equal FittedModel.label, which rejects NaN rows;
+        # the bad request fails alone, and the requests batched with it
+        # are labelled as usual.
+        estimator, points = small_fit
+        save_model(estimator, tmp_path / "m.model")
+        cache = ModelCache(root=tmp_path)
+        bad = points[40:44].copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(ContractError):
+            load_model(tmp_path / "m.model").label(bad)
+
+        async def main():
+            async with BatchLabeller(cache, delay=0.01) as labeller:
+                outcomes = await asyncio.gather(
+                    labeller.label("m.model", points[:40]),
+                    labeller.label("m.model", bad),
+                    labeller.label("m.model", points[80:120]),
+                    return_exceptions=True,
+                )
+                return outcomes, labeller.stats()
+
+        (first, failed, third), stats = asyncio.run(main())
+        assert isinstance(failed, ContractError)
+        assert np.array_equal(first, estimator.labels_[:40])
+        assert np.array_equal(third, estimator.labels_[80:120])
+        assert stats["requests"] == 3 and stats["errors"] == 1
+        assert stats["batches"] == 1
+
     def test_label_requires_started_worker(self, tmp_path):
         labeller = BatchLabeller(ModelCache(root=tmp_path))
 

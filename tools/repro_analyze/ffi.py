@@ -52,6 +52,8 @@ from .project import FunctionInfo, ModuleInfo, Project, dotted_name
 _CTYPES_SCALARS: dict[str, str] = {
     "c_int64": "int64",
     "c_longlong": "int64",
+    "c_uint64": "uint64",
+    "c_ulonglong": "uint64",
     "c_int32": "int32",
     "c_int": "int32",
     "c_uint8": "uint8",
