@@ -85,12 +85,9 @@ def test_incremental_search_matches_reference_tree(benchmark):
         d, eta, n_resolutions,
     )
 
-    def search():
-        for h in tree.levels:
-            tree.level(h).used[:] = False
-        return find_beta_clusters(tree, _ALPHA)
-
-    betas = benchmark.pedantic(search, rounds=3, iterations=1)
+    betas = benchmark.pedantic(
+        find_beta_clusters, args=(tree, _ALPHA), rounds=3, iterations=1
+    )
     reference = find_beta_clusters(reference_tree, _ALPHA)
     assert len(betas) == len(reference)
     for a, b in zip(betas, reference):

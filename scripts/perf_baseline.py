@@ -41,11 +41,9 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.beta_cluster import (
-    BetaCluster,
-    _grow_bounds,
     find_beta_clusters,
+    reference_find_beta_clusters,
 )
-from repro.core.convolution import convolve_level, level_responses, overlap_mask
 from repro.core.correlation_cluster import build_correlation_clusters
 from repro.core.counting_tree import (
     CountingTree,
@@ -54,8 +52,6 @@ from repro.core.counting_tree import (
     reference_levels,
     tree_from_levels,
 )
-from repro.core.hypothesis_test import neighborhood_counts, significant_axes
-from repro.core.mdl import mdl_cut_threshold
 from repro.core.mrcc import MrCC
 from repro.obs import perf_clock
 
@@ -143,51 +139,6 @@ def bench_obs_overhead(eta: int) -> dict:
     return measure_obs_overhead(eta)
 
 
-def reference_find_beta_clusters(tree: CountingTree, alpha: float) -> list:
-    """The seed β-cluster search: full masked argmax per level per
-    restart, full-level overlap masks per found box.
-
-    Kept verbatim (module functions it uses are still exported) as the
-    timing/equivalence reference for the incremental search.
-    """
-    responses = {h: level_responses(tree.level(h)) for h in tree.levels if h >= 2}
-    excluded = {
-        h: np.zeros(tree.level(h).n_cells, dtype=bool)
-        for h in tree.levels
-        if h >= 2
-    }
-    found: list[BetaCluster] = []
-    while True:
-        new_cluster = None
-        for h in tree.levels:
-            if h < 2:
-                continue
-            level = tree.level(h)
-            row = convolve_level(tree, h, responses[h], excluded[h])
-            if row < 0:
-                continue
-            level.used[row] = True
-            counts = neighborhood_counts(tree, h, row)
-            if not np.any(significant_axes(counts, alpha)):
-                continue
-            relevances = counts.relevances()
-            threshold = mdl_cut_threshold(relevances)
-            relevant = relevances >= threshold
-            lower, upper = _grow_bounds(tree, h, row, relevant)
-            new_cluster = BetaCluster(
-                lower=lower, upper=upper, relevant=relevant,
-                level=h, center_row=row, relevances=relevances,
-            )
-            break
-        if new_cluster is None:
-            return found
-        found.append(new_cluster)
-        for h in excluded:
-            excluded[h] |= overlap_mask(
-                tree.level(h), new_cluster.lower, new_cluster.upper
-            )
-
-
 def bench_tree_build(eta: int, d: int, h: int, repeats: int, seed: int) -> dict:
     points = clustered_points(eta, d, n_clusters=10, noise_fraction=0.15, seed=seed)
     base = bin_points(points, h)
@@ -235,22 +186,16 @@ def bench_beta_search(
     alpha = 1e-10
     # All arms search the same pre-built tree (trees are identical by
     # the build equivalence), so only the search itself is timed; the
-    # usedCell flags are reset between repeats.
+    # search leaves the tree unchanged, so repeats reuse it.
     tree = CountingTree(points, n_resolutions=h)
     reference_tree = tree_from_levels(
         reference_levels(bin_points(points, h), h, d), d, eta, h
     )
 
-    def reset_used(target: CountingTree) -> None:
-        for level_number in target.levels:
-            target.level(level_number).used[:] = False
-
     def incremental():
-        reset_used(tree)
         return find_beta_clusters(tree, alpha)
 
     def reference():
-        reset_used(reference_tree)
         return reference_find_beta_clusters(reference_tree, alpha)
 
     # The seed search arm is a numpy-era yardstick; pin it to the

@@ -11,7 +11,9 @@ The search loop follows Algorithm 2 literally:
   Laplacian face mask over all cells not yet used and not overlapping a
   previously found β-cluster;
 * the per-level winner is marked used (whether or not it passes the
-  test);
+  test) — the paper's ``usedCell``, kept here in the search's own state
+  so the Counting-tree stays a read-only index and repeated searches
+  over one tree agree;
 * the winner's parent-level neighbourhood feeds the six-region binomial
   test; one significant axis confirms a β-cluster, otherwise the next
   finer level is tried;
@@ -29,7 +31,12 @@ import numpy as np
 
 from repro import obs
 from repro.core.contracts import check_probability
-from repro.core.convolution import level_responses, overlap_rows
+from repro.core.convolution import (
+    convolve_level,
+    level_responses,
+    overlap_mask,
+    overlap_rows,
+)
 from repro.core.counting_tree import CountingTree
 from repro.core.hypothesis_test import (
     neighborhood_counts,
@@ -81,13 +88,15 @@ class BetaCluster:
 class _SearchState:
     """Per-level caches reused across Algorithm 2's restarts.
 
-    Three monotone facts make the search incremental: convolution
-    responses are static for a fixed tree, ``usedCell`` flags are only
-    ever set, and the exclusion mask only ever grows (one new β-cluster
-    box at a time).  Each level therefore presorts its rows by
-    (response descending, row ascending) once and keeps a cursor that
-    only moves forward past rows that became used or excluded — the row
-    at the cursor is exactly the masked-argmax
+    The search keeps one *taken* mask per level: the pivots already
+    tried (the paper's ``usedCell``) plus the cells under the boxes
+    already found.  Three monotone facts make the search incremental:
+    convolution responses are static for a fixed tree, and a cell once
+    taken stays taken, whether as a tried pivot or as claimed space
+    (one new β-cluster box at a time).  Each level therefore presorts
+    its rows by (response descending, row ascending) once and keeps a
+    cursor that only moves forward past rows that became taken — the
+    row at the cursor is exactly the masked-argmax
     :func:`~repro.core.convolution.convolve_level` would recompute over
     the whole level on every restart, including its lowest-row
     tie-breaking, at amortised O(cells) for the entire search.
@@ -99,7 +108,7 @@ class _SearchState:
     def __init__(self, tree: CountingTree) -> None:
         self.tree = tree
         self._responses: dict[int, IntArray] = {}
-        self._excluded: dict[int, BoolArray] = {}
+        self._taken: dict[int, BoolArray] = {}
         self._order: dict[int, IntArray] = {}
         self._cursor: dict[int, int] = {}
 
@@ -108,15 +117,15 @@ class _SearchState:
             self._responses[h] = level_responses(self.tree.level(h))
         return self._responses[h]
 
-    def excluded(self, h: int) -> BoolArray:
-        if h not in self._excluded:
-            self._excluded[h] = np.zeros(self.tree.level(h).n_cells, dtype=bool)
-        return self._excluded[h]
+    def taken(self, h: int) -> BoolArray:
+        if h not in self._taken:
+            self._taken[h] = np.zeros(self.tree.level(h).n_cells, dtype=bool)
+        return self._taken[h]
 
     _ADVANCE_BLOCK = 1024
 
     def best_row(self, h: int) -> int:
-        """Best convolution pivot at level ``h``, or -1 when all masked."""
+        """Best convolution pivot at level ``h``, or -1 when all taken."""
         if h not in self._order:
             responses = self.responses(h)
             m = responses.shape[0]
@@ -125,15 +134,14 @@ class _SearchState:
             )
             self._cursor[h] = 0
         order = self._order[h]
-        used = self.tree.level(h).used
-        excluded = self.excluded(h)
+        taken = self.taken(h)
         cursor = self._cursor[h]
         m = order.shape[0]
-        # Skip rows that became used/excluded since the last pick, a
-        # block at a time so the scan stays vectorised.
+        # Skip rows taken since the last pick, a block at a time so the
+        # scan stays vectorised.
         while cursor < m:
             block = order[cursor : cursor + self._ADVANCE_BLOCK]
-            eligible = np.flatnonzero(~(used[block] | excluded[block]))
+            eligible = np.flatnonzero(~taken[block])
             if eligible.size:
                 cursor += int(eligible[0])
                 break
@@ -142,13 +150,13 @@ class _SearchState:
         return int(order[cursor]) if cursor < m else -1
 
     def exclude_box(self, beta: BetaCluster) -> None:
-        """Mark every cell overlapping the new β-cluster as claimed."""
+        """Mark every cell overlapping the new β-cluster as taken."""
         for h in self.tree.levels:
             if h >= 2:
                 level = self.tree.level(h)
                 rows = overlap_rows(level, beta.lower, beta.upper)
                 obs.incr("search.excluded_cells", int(rows.size))
-                self.excluded(h)[rows] = True
+                self.taken(h)[rows] = True
 
 
 _GROWTH_SHARE = 0.5
@@ -246,11 +254,10 @@ def _search_pass(state: _SearchState, alpha: float) -> BetaCluster | None:
     for h in tree.levels:
         if h < 2:
             continue
-        level = tree.level(h)
         row = state.best_row(h)
         if row < 0:
             continue
-        level.used[row] = True
+        state.taken(h)[row] = True
         obs.incr("search.pivots")
         obs.incr(f"search.level{h}.cells_visited")
         counts = neighborhood_counts(tree, h, row)
@@ -271,3 +278,50 @@ def _search_pass(state: _SearchState, alpha: float) -> BetaCluster | None:
             relevances=relevances,
         )
     return None
+
+
+def reference_find_beta_clusters(
+    tree: CountingTree, alpha: float
+) -> list[BetaCluster]:
+    """The seed β-cluster search (kept as reference).
+
+    A full masked argmax per level per restart and a full-level overlap
+    mask per found box.  No longer used by :class:`~repro.core.mrcc.MrCC`
+    itself; the equivalence tests and the perf baseline compare
+    :func:`find_beta_clusters` against it.
+    """
+    responses = {h: level_responses(tree.level(h)) for h in tree.levels if h >= 2}
+    taken = {
+        h: np.zeros(tree.level(h).n_cells, dtype=bool)
+        for h in tree.levels
+        if h >= 2
+    }
+    found: list[BetaCluster] = []
+    while True:
+        new_cluster = None
+        for h in tree.levels:
+            if h < 2:
+                continue
+            row = convolve_level(responses[h], taken[h])
+            if row < 0:
+                continue
+            taken[h][row] = True
+            counts = neighborhood_counts(tree, h, row)
+            if not np.any(significant_axes(counts, alpha)):
+                continue
+            relevances = counts.relevances()
+            threshold = mdl_cut_threshold(relevances)
+            relevant = relevances >= threshold
+            lower, upper = _grow_bounds(tree, h, row, relevant)
+            new_cluster = BetaCluster(
+                lower=lower, upper=upper, relevant=relevant,
+                level=h, center_row=row, relevances=relevances,
+            )
+            break
+        if new_cluster is None:
+            return found
+        found.append(new_cluster)
+        for h in taken:
+            taken[h] |= overlap_mask(
+                tree.level(h), new_cluster.lower, new_cluster.upper
+            )

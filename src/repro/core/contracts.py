@@ -158,20 +158,19 @@ def check_level(name: str, level: Any) -> None:
     """Validate the column arrays of one Counting-tree level.
 
     Checks the inter-column shape/dtype contract the β-cluster search
-    relies on: integer cell coordinates, one count per cell, half-space
-    counts per (cell, axis), and boolean ``usedCell`` flags.
+    relies on: integer cell coordinates, one count per cell, and
+    half-space counts per (cell, axis).
     """
     coords = check_array(f"{name}.coords", level.coords, dtype=np.int64, ndim=2)
     n = check_array(f"{name}.n", level.n, dtype=np.int64, ndim=1)
     half = check_array(
         f"{name}.half_counts", level.half_counts, dtype=np.int64, ndim=2
     )
-    used = check_array(f"{name}.used", level.used, dtype=np.bool_, ndim=1)
     m = coords.shape[0]
-    if n.shape[0] != m or used.shape[0] != m or half.shape != coords.shape:
+    if n.shape[0] != m or half.shape != coords.shape:
         raise ContractError(
             f"{name} columns disagree: coords {coords.shape}, n {n.shape}, "
-            f"half_counts {half.shape}, used {used.shape}"
+            f"half_counts {half.shape}"
         )
     if _ENABLED and m:
         limit = (1 << int(level.h)) - 1

@@ -13,8 +13,9 @@ contribute zero, exactly like zero-padding in image processing.
 
 The responses of a level never change while the tree is fixed, so they
 are computed once per level and cached; the β-cluster search then only
-re-applies its dynamic masks (``usedCell`` flags and the space already
-claimed by previous β-clusters).
+re-applies its one dynamic mask per level (the cells already taken:
+tried pivots, the paper's ``usedCell``, and the space claimed by
+previous β-clusters).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from repro import obs
 from repro.core import kernels
 from repro.core.contracts import check_array
-from repro.core.counting_tree import CountingTree, Level
+from repro.core.counting_tree import Level
 from repro.types import BoolArray, FloatArray, IntArray
 
 
@@ -32,22 +33,17 @@ def level_responses(level: Level) -> IntArray:
     """Convolved value of every cell at ``level`` (static per tree).
 
     Delegates to the active compute backend
-    (:func:`repro.core.kernels.active_backend`): the kernel produces
-    responses in key order over the level's structure-of-arrays view
-    and the result is scattered back into row order.  Empty neighbours
-    (unmaterialised space or the grid border) contribute zero, like
-    zero-padding a convolution; every backend is bit-identical here.
+    (:func:`repro.core.kernels.active_backend`), which reads the
+    key-ordered level directly.  Empty neighbours (unmaterialised space
+    or the grid border) contribute zero, like zero-padding a
+    convolution; every backend is bit-identical here.
     """
     m = level.n_cells
     obs.incr("convolution.responses")
     obs.incr("convolution.cells", m)
     obs.incr(f"convolution.level{level.h}.responses")
     obs.incr(f"search.level{level.h}.cells_visited", m)
-    soa = level.soa()
-    backend = kernels.active_backend()
-    key_ordered = backend.level_responses(soa)
-    result: IntArray = soa.to_row_order(key_ordered)
-    return result
+    return kernels.active_backend().level_responses(level)
 
 
 def cell_bounds(level: Level) -> tuple[FloatArray, FloatArray]:
@@ -101,40 +97,30 @@ def overlap_rows(
     if not np.any(binding):
         return np.arange(level.n_cells, dtype=np.int64)
 
-    soa = level.soa()
     if binding[0]:
         # Axis 0 binds: the key order is lexicographic, so its cells
-        # sit in one contiguous run of the sorted rows.
+        # sit in one contiguous run of the rows.
         axis0 = level.axis0_in_key_order()
         start = int(np.searchsorted(axis0, lo[0], side="left"))
         stop = int(np.searchsorted(axis0, hi[0], side="right"))
     else:
-        start, stop = 0, soa.n_cells
+        start, stop = 0, level.n_cells
     if start >= stop:
         return np.empty(0, dtype=np.int64)
-    backend = kernels.active_backend()
-    positions = backend.box_scan(soa, lo, hi, start, stop)
-    return soa.rows_of_positions(positions)
+    return kernels.active_backend().box_scan(level, lo, hi, start, stop)
 
 
-def convolve_level(
-    tree: CountingTree,
-    h: int,
-    responses: IntArray,
-    excluded: BoolArray,
-) -> int:
-    """Pick the best convolution pivot at level ``h``.
+def convolve_level(responses: IntArray, taken: BoolArray) -> int:
+    """Pick the best convolution pivot of one level.
 
     Returns the row of the cell with the largest response among cells
-    that are not ``used`` and not ``excluded`` (claimed by an earlier
-    β-cluster), or ``-1`` when every cell is masked.  Ties resolve to
-    the lowest row, keeping MrCC deterministic.
+    not ``taken`` — already tried as a pivot (the paper's ``usedCell``)
+    or claimed by an earlier β-cluster — or ``-1`` when every cell is
+    taken.  Ties resolve to the lowest row, keeping MrCC deterministic.
     """
-    level = tree.level(h)
     check_array("responses", responses, dtype=np.int64, ndim=1)
-    check_array("excluded", excluded, dtype=np.bool_, ndim=1)
-    eligible = ~(level.used | excluded)
-    if not np.any(eligible):
+    check_array("taken", taken, dtype=np.bool_, ndim=1)
+    if np.all(taken):
         return -1
-    masked = np.where(eligible, responses, np.iinfo(np.int64).min)
+    masked = np.where(taken, np.iinfo(np.int64).min, responses)
     return int(np.argmax(masked))

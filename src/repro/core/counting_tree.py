@@ -6,15 +6,20 @@ axis into ``2^h`` intervals of side ``1 / 2^h``; a cell stores
 
 * ``n`` — the number of points it covers,
 * ``P[j]`` — the *half-space count*: how many of those points fall in
-  the lower half of the cell along axis ``e_j``,
-* ``usedCell`` — consumed by the β-cluster search (phase two).
+  the lower half of the cell along axis ``e_j``.
+
+The paper's third cell field, ``usedCell``, is search bookkeeping: it
+lives in the β-cluster search (:mod:`repro.core.beta_cluster`), so a
+built tree is a read-only index that any number of searches, and any
+number of serving processes sharing one memory-mapped model file, can
+query.
 
 Only non-empty cells are materialised, so each level holds at most
 ``η`` cells regardless of the ``O(2^{dh})`` nominal grid size — the
 paper's "linked list of cells per node" economy.  Levels are stored
-column-wise in numpy arrays with a hash index from cell coordinates to
-rows, giving O(1) cell and face-neighbour lookup, which phase two
-depends on.
+column-wise in numpy arrays, rows in the order of their packed cell
+keys, and a ``searchsorted`` join over those keys gives the cell and
+face-neighbour lookup phase two depends on.
 
 Construction is a single scan in the paper, and a single pass over the
 points here: the backend's ``cell_words`` kernel bins each row at the
@@ -40,16 +45,11 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro import env, obs
 from repro.core.contracts import ContractError, check_array
-from repro.types import AnyArray, BoolArray, FloatArray, IntArray
-
-if TYPE_CHECKING:
-    from repro.core.kernels.soa import LevelSoA
+from repro.types import AnyArray, FloatArray, IntArray
 
 MIN_RESOLUTIONS = 3
 """Algorithm 1 requires ``H >= 3``."""
@@ -101,7 +101,14 @@ def void_keys(coords: IntArray) -> AnyArray:
 
 @dataclass
 class Level:
-    """One resolution level of the Counting-tree.
+    """One resolution level of the Counting-tree, rows in key order.
+
+    A level is a read-only index: the builders and the model loader
+    emit its rows in the lexicographic order of the packed cell keys,
+    and the kernels, the lookups and the model writer all read it in
+    that order.  Search bookkeeping (the paper's ``usedCell``) lives in
+    the β-cluster search, not here.  Build one with
+    :meth:`from_key_sorted`.
 
     Attributes
     ----------
@@ -113,26 +120,17 @@ class Level:
         ``(m,)`` point count per cell.
     half_counts:
         ``(m, d)`` half-space counts (the paper's ``P[]``).
-    used:
-        ``(m,)`` the ``usedCell`` flags.
+    keys:
+        ``(m,)`` the packed :func:`void_keys` of ``coords``, sorted —
+        the index of every ``searchsorted`` cell lookup.
     """
 
     h: int
     coords: IntArray
     n: IntArray
     half_counts: IntArray
-    used: BoolArray
-    _sorted_keys: AnyArray | None = field(default=None, repr=False)
-    _sort_order: IntArray | None = field(default=None, repr=False)
-    _axis0_sorted: IntArray | None = field(default=None, repr=False)
-    _soa: LevelSoA | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self._sorted_keys is None:
-            keys = void_keys(self.coords)
-            self._sort_order = np.argsort(keys)
-            self._sorted_keys = keys[self._sort_order]
-        assert self._sort_order is not None
+    keys: AnyArray
+    _axis0: IntArray | None = field(default=None, repr=False)
 
     @classmethod
     def from_key_sorted(
@@ -142,32 +140,22 @@ class Level:
         n: IntArray,
         half_counts: IntArray,
         keys: AnyArray | None = None,
-        used: BoolArray | None = None,
     ) -> "Level":
         """Wrap arrays already in canonical key order as a ``Level``.
 
-        The lookup index is the identity permutation, so no argsort (and
-        no copy of ``coords``) happens; when ``keys`` is supplied — e.g.
-        the packed keys persisted inside a model file, possibly a
-        read-only memmap — not even the key repacking runs, which is
-        what keeps a memmap-backed serving tree near-zero-copy.  Rows
-        out of key order would silently corrupt every lookup, so
-        callers must hold the canonical-order invariant (every tree
-        builder and the model store do).
+        When ``keys`` is supplied — e.g. the packed keys persisted
+        inside a model file, possibly a read-only memmap — not even the
+        key repacking runs, which is what keeps a memmap-backed serving
+        tree near-zero-copy.  Rows out of key order would silently
+        corrupt every lookup, so callers must hold the canonical-order
+        invariant (every tree builder and the model store do).
         """
-        m = int(coords.shape[0])
         return cls(
             h=h,
             coords=coords,
             n=n,
             half_counts=half_counts,
-            used=(
-                used
-                if used is not None
-                else np.zeros(m, dtype=bool)
-            ),
-            _sorted_keys=keys if keys is not None else void_keys(coords),
-            _sort_order=np.arange(m, dtype=np.int64),
+            keys=keys if keys is not None else void_keys(coords),
         )
 
     @property
@@ -190,50 +178,29 @@ class Level:
         coords = np.asarray(coords)
         if coords.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        assert self._sorted_keys is not None and self._sort_order is not None
         queries = void_keys(coords)
-        positions = np.searchsorted(self._sorted_keys, queries)
-        positions = np.minimum(positions, self._sorted_keys.shape[0] - 1)
-        found = self._sorted_keys[positions] == queries
-        rows = np.where(found, self._sort_order[positions], -1)
-        return rows.astype(np.int64)
+        rows = np.searchsorted(self.keys, queries)
+        rows = np.minimum(rows, self.keys.shape[0] - 1)
+        found = self.keys[rows] == queries
+        return np.where(found, rows, -1).astype(np.int64)
 
     def axis0_in_key_order(self) -> IntArray:
-        """Axis-0 coordinates in sorted-key order (cached).
+        """The axis-0 coordinate column, contiguous (cached).
 
         The key order is lexicographic, so this column is
         non-decreasing; ``np.searchsorted`` on it bounds the rows whose
         axis-0 coordinate falls in a range — the index the incremental
         β-cluster exclusion uses to avoid full-level scans.
         """
-        if self._axis0_sorted is None:
-            assert self._sort_order is not None
-            self._axis0_sorted = np.ascontiguousarray(
-                self.coords[self._sort_order, 0]
-            )
-        return self._axis0_sorted
-
-    def soa(self) -> LevelSoA:
-        """Key-sorted structure-of-arrays kernel view of this level.
-
-        Built lazily and cached; the level's own arrays are aliased
-        without copies when they are already in key order (true for
-        every tree builder in the package).
-        """
-        from repro.core.kernels.soa import level_soa
-
-        return level_soa(self)
-
-    def count_at(self, coords: IntArray) -> int:
-        """Point count of the cell at ``coords`` (0 for empty cells)."""
-        row = self.row_of(coords)
-        return int(self.n[row]) if row >= 0 else 0
+        if self._axis0 is None:
+            self._axis0 = np.ascontiguousarray(self.coords[:, 0])
+        return self._axis0
 
     def neighbor_rows(self, row: int, axis: int) -> tuple[int, int]:
         """Rows of the lower/upper face neighbours along ``axis`` (-1 if empty).
 
         Covers both the paper's *internal* and *external* neighbours:
-        the hash index does not care whether the neighbour lives in the
+        the key index does not care whether the neighbour lives in the
         same tree node or a sibling node.
         """
         coords = self.coords[row].copy()
@@ -469,11 +436,7 @@ def merge_level_arrays(left: LevelArrays, right: LevelArrays) -> LevelArrays:
 
 
 def level_from_arrays(h: int, arrays: LevelArrays) -> Level:
-    """Wrap one key-sorted SoA aggregate as a ``Level``.
-
-    The rows are already in key order, so the lookup index is the
-    identity permutation and no argsort happens.
-    """
+    """Wrap one key-sorted SoA aggregate as a ``Level``."""
     cells, counts, halves = arrays
     return Level.from_key_sorted(
         h,
@@ -637,13 +600,7 @@ def _reference_build(base: IntArray, h: int, n_resolutions: int, d: int) -> Leve
     half_counts = np.zeros((cells.shape[0], d), dtype=np.int64)
     np.add.at(half_counts, inverse, (half_bits == 0).astype(np.int64))
 
-    return Level(
-        h=h,
-        coords=np.ascontiguousarray(cells),
-        n=counts,
-        half_counts=half_counts,
-        used=np.zeros(cells.shape[0], dtype=bool),
-    )
+    return Level.from_key_sorted(h, np.ascontiguousarray(cells), counts, half_counts)
 
 
 def reference_levels(

@@ -106,10 +106,8 @@ def neighborhood_counts(tree: CountingTree, h: int, row: int) -> NeighborhoodCou
     parent_row = tree.parent_row(h, row)
     bits = tree.loc_bits(h, row)
 
-    soa = parent_level.soa()
-    backend = kernels.active_backend()
-    center, total = backend.six_region(
-        soa, soa.position_of_row(parent_row), bits
+    center, total = kernels.active_backend().six_region(
+        parent_level, parent_row, bits
     )
     # Regions beyond the space border cannot receive points and are not
     # analyzed; an in-grid but empty neighbour still counts as two

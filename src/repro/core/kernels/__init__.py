@@ -10,8 +10,8 @@ interchangeable backends, seven entry points each:
 * the Laplacian convolution responses (``level_responses``), the
   six-region binomial significance test (``six_region`` and
   ``binom_thetas``) and the β-cluster box-exclusion scan
-  (``box_scan``), on the structure-of-arrays level views of
-  :mod:`repro.core.kernels.soa`;
+  (``box_scan``), on the key-ordered
+  :class:`~repro.core.counting_tree.Level` itself;
 * the labelling pass that assigns each point its correlation cluster
   (``label_rows``), on the points and the β-boxes flattened in group
   order.
@@ -49,19 +49,17 @@ from typing import Callable, Protocol
 import numpy as np
 
 from repro import env
+from repro.core.counting_tree import Level
 from repro.core.kernels import cext_backend, reference
-from repro.core.kernels.soa import LevelSoA, level_soa
 from repro.types import AnyArray, FloatArray, IntArray
 
 __all__ = [
     "Backend",
     "BackendUnavailableError",
-    "LevelSoA",
     "active_backend",
     "available_backends",
     "backend_info",
     "get_backend",
-    "level_soa",
     "reset_backends",
     "warm_up",
 ]
@@ -73,7 +71,7 @@ class BackendUnavailableError(RuntimeError):
 
 class _SixRegionKernel(Protocol):
     def __call__(
-        self, soa: LevelSoA, position: int, bits: IntArray
+        self, level: Level, row: int, bits: IntArray
     ) -> tuple[IntArray, IntArray]: ...
 
 
@@ -110,8 +108,8 @@ class Backend:
     version: str
     cell_words: _CellWordsKernel
     half_counts: _HalfCountsKernel
-    level_responses: Callable[[LevelSoA], IntArray]
-    box_scan: Callable[[LevelSoA, IntArray, IntArray, int, int], IntArray]
+    level_responses: Callable[[Level], IntArray]
+    box_scan: Callable[[Level, IntArray, IntArray, int, int], IntArray]
     label_rows: Callable[[FloatArray, FloatArray, FloatArray, IntArray], IntArray]
     six_region: _SixRegionKernel
     binom_thetas: _BinomThetasKernel
@@ -237,14 +235,11 @@ def warm_up(backend: Backend) -> None:
     Benchmarks call this before timing so one-off compilation cost is
     reported separately instead of polluting the measured runs.
     """
-    from repro.core.counting_tree import void_keys
-
-    coords = np.array([[0, 0], [0, 1], [1, 1]], dtype=np.int64)
-    counts = np.array([2, 3, 4], dtype=np.int64)
-    half = np.array([[1, 1], [2, 1], [2, 2]], dtype=np.int64)
-    soa = LevelSoA(
-        h=1, coords=coords, counts=counts, half_counts=half,
-        order=None, keys=void_keys(coords),
+    level = Level.from_key_sorted(
+        1,
+        np.array([[0, 0], [0, 1], [1, 1]], dtype=np.int64),
+        np.array([2, 3, 4], dtype=np.int64),
+        np.array([[1, 1], [2, 1], [2, 2]], dtype=np.int64),
     )
     words, parity = backend.cell_words(
         np.array([[0.1, 0.6], [0.9, 0.3]], dtype=np.float64), 3
@@ -265,9 +260,9 @@ def warm_up(backend: Backend) -> None:
         2,
         2,
     )
-    backend.level_responses(soa)
+    backend.level_responses(level)
     backend.box_scan(
-        soa,
+        level,
         np.zeros(2, dtype=np.int64),
         np.ones(2, dtype=np.int64),
         0,
@@ -279,7 +274,7 @@ def warm_up(backend: Backend) -> None:
         np.array([[0.5, 1.0], [1.0, 1.0]], dtype=np.float64),
         np.array([0, 1], dtype=np.int64),
     )
-    backend.six_region(soa, 1, np.array([0, 1], dtype=np.int64))
+    backend.six_region(level, 1, np.array([0, 1], dtype=np.int64))
     backend.binom_thetas(
         np.array([30, 0], dtype=np.int64),
         np.array([1.0 / 6.0, 1.0 / 6.0], dtype=np.float64),

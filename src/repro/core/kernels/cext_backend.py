@@ -27,8 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.counting_tree import _field_layout
-from repro.core.kernels.soa import LevelSoA
+from repro.core.counting_tree import Level, _field_layout
 from repro.env import cext_sanitize_from_env
 from repro.types import AnyArray, FloatArray, IntArray
 
@@ -480,26 +479,26 @@ def load() -> dict[str, Any]:
         )
         return out
 
-    def level_responses(soa: LevelSoA) -> IntArray:
-        m, d = soa.coords.shape
+    def level_responses(level: Level) -> IntArray:
+        m, d = level.coords.shape
         out = np.empty(m, dtype=np.int64)
         lib.level_responses(
-            np.ascontiguousarray(soa.coords, dtype=np.int64),
-            np.ascontiguousarray(soa.counts, dtype=np.int64),
-            m, d, soa.limit, out,
+            np.ascontiguousarray(level.coords, dtype=np.int64),
+            np.ascontiguousarray(level.n, dtype=np.int64),
+            m, d, (1 << level.h) - 1, out,
         )
         return out
 
     def box_scan(
-        soa: LevelSoA, lo: IntArray, hi: IntArray, start: int, stop: int
+        level: Level, lo: IntArray, hi: IntArray, start: int, stop: int
     ) -> IntArray:
-        m, d = soa.coords.shape
+        m, d = level.coords.shape
         span = max(0, min(stop, m) - max(start, 0))
         out = np.empty(span, dtype=np.int64)
         if span == 0:
             return out
         found = lib.box_scan(
-            np.ascontiguousarray(soa.coords, dtype=np.int64), m, d,
+            np.ascontiguousarray(level.coords, dtype=np.int64), m, d,
             np.ascontiguousarray(lo, dtype=np.int64),
             np.ascontiguousarray(hi, dtype=np.int64),
             start, stop, out,
@@ -529,17 +528,17 @@ def load() -> dict[str, Any]:
         return out
 
     def six_region(
-        soa: LevelSoA, position: int, bits: IntArray
+        level: Level, row: int, bits: IntArray
     ) -> tuple[IntArray, IntArray]:
-        m, d = soa.coords.shape
+        m, d = level.coords.shape
         center = np.empty(d, dtype=np.int64)
         total = np.empty(d, dtype=np.int64)
         lib.six_region(
-            np.ascontiguousarray(soa.coords, dtype=np.int64),
-            np.ascontiguousarray(soa.counts, dtype=np.int64),
-            np.ascontiguousarray(soa.half_counts, dtype=np.int64),
-            m, d, soa.limit,
-            position, np.ascontiguousarray(bits, dtype=np.int64),
+            np.ascontiguousarray(level.coords, dtype=np.int64),
+            np.ascontiguousarray(level.n, dtype=np.int64),
+            np.ascontiguousarray(level.half_counts, dtype=np.int64),
+            m, d, (1 << level.h) - 1,
+            row, np.ascontiguousarray(bits, dtype=np.int64),
             center, total,
         )
         return center, total

@@ -18,12 +18,12 @@ import numpy as np
 from scipy import stats
 
 from repro.core.counting_tree import (
+    Level,
     _field_layout,
     _pack_words,
     bin_points,
     void_keys,
 )
-from repro.core.kernels.soa import LevelSoA
 from repro.types import NOISE_LABEL, AnyArray, FloatArray, IntArray
 
 NAME = "numpy"
@@ -67,41 +67,41 @@ def half_counts(
     return halves
 
 
-def level_responses(soa: LevelSoA) -> IntArray:
+def level_responses(level: Level) -> IntArray:
     """Laplacian responses in key order (vectorised searchsorted joins)."""
-    m, d = soa.coords.shape
-    responses = (2 * d) * soa.counts.astype(np.int64)
+    m, d = level.coords.shape
+    responses = (2 * d) * level.n.astype(np.int64)
     if m <= 1:
         return responses
-    limit = soa.limit
-    shifted = soa.coords.copy()
+    limit = (1 << level.h) - 1
+    shifted = level.coords.copy()
     for axis in range(d):
-        column = soa.coords[:, axis]
+        column = level.coords[:, axis]
         for delta in (-1, 1):
             shifted[:, axis] = column + delta
             valid = (shifted[:, axis] >= 0) & (shifted[:, axis] <= limit)
             if not np.any(valid):
                 continue
             queries = void_keys(shifted[valid])
-            positions = np.searchsorted(soa.keys, queries)
+            positions = np.searchsorted(level.keys, queries)
             positions = np.minimum(positions, m - 1)
-            found = soa.keys[positions] == queries
+            found = level.keys[positions] == queries
             targets = np.flatnonzero(valid)[found]
-            responses[targets] -= soa.counts[positions[found]]
+            responses[targets] -= level.n[positions[found]]
         shifted[:, axis] = column
     return responses
 
 
 def box_scan(
-    soa: LevelSoA, lo: IntArray, hi: IntArray, start: int, stop: int
+    level: Level, lo: IntArray, hi: IntArray, start: int, stop: int
 ) -> IntArray:
-    """Key-order positions within ``[start, stop)`` inside the box."""
-    block = soa.coords[start:stop]
+    """Rows within ``[start, stop)`` whose cells lie inside the box."""
+    block = level.coords[start:stop]
     if block.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
     hit = np.all((block >= lo) & (block <= hi), axis=1)
-    positions: IntArray = start + np.flatnonzero(hit)
-    return positions
+    rows: IntArray = start + np.flatnonzero(hit)
+    return rows
 
 
 def label_rows(
@@ -122,28 +122,28 @@ def label_rows(
 
 
 def six_region(
-    soa: LevelSoA, position: int, bits: IntArray
+    level: Level, row: int, bits: IntArray
 ) -> tuple[IntArray, IntArray]:
     """Six-region counts ``(cP_j, nP_j)``, all 2d probes in one join."""
-    m, d = soa.coords.shape
-    base = soa.coords[position]
-    parent_n = int(soa.counts[position])
+    m, d = level.coords.shape
+    base = level.coords[row]
+    parent_n = int(level.n[row])
     probes = np.tile(base, (2 * d, 1))
     probe_axes = np.repeat(np.arange(d, dtype=np.int64), 2)
     deltas = np.tile(np.array([-1, 1], dtype=np.int64), d)
     probe_index = np.arange(2 * d, dtype=np.int64)
     probes[probe_index, probe_axes] += deltas
     shifted = probes[probe_index, probe_axes]
-    valid = (shifted >= 0) & (shifted <= soa.limit)
+    valid = (shifted >= 0) & (shifted <= (1 << level.h) - 1)
     neighbors = np.zeros(2 * d, dtype=np.int64)
     if np.any(valid):
         queries = void_keys(probes[valid])
-        positions = np.searchsorted(soa.keys, queries)
+        positions = np.searchsorted(level.keys, queries)
         positions = np.minimum(positions, m - 1)
-        found = soa.keys[positions] == queries
-        neighbors[np.flatnonzero(valid)[found]] = soa.counts[positions[found]]
+        found = level.keys[positions] == queries
+        neighbors[np.flatnonzero(valid)[found]] = level.n[positions[found]]
     total = parent_n + neighbors[0::2] + neighbors[1::2]
-    half = soa.half_counts[position]
+    half = level.half_counts[row]
     center = np.where(bits == 0, half, parent_n - half).astype(np.int64)
     return center, total.astype(np.int64)
 

@@ -51,6 +51,82 @@ _TRUE_VALUES = frozenset({"1", "true", "on", "yes"})
 _FALSE_VALUES = frozenset({"0", "false", "off", "no"})
 
 
+def _int_from_env(
+    name: str, default: int, *, positive: bool, noun: str, example: int
+) -> int:
+    """Integer knob ``name``: at least 1 when ``positive``, else at least 0.
+
+    Unset or blank means ``default``; anything else that is not such an
+    integer raises a ``ValueError`` naming the variable, the expected
+    ``noun`` with an ``example`` setting, and the offending value.
+    """
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    kind = "positive" if positive else "non-negative"
+    error = ValueError(
+        f"{name} must be a {kind} integer {noun} (e.g. {name}={example}), "
+        f"got {raw!r}"
+    )
+    try:
+        value = int(raw)
+    except ValueError:
+        raise error from None
+    if value < (1 if positive else 0):
+        raise error
+    return value
+
+
+def _seconds_from_env(
+    name: str,
+    default: float,
+    *,
+    positive: bool,
+    noun: str,
+    example: str,
+    off: bool = False,
+) -> float:
+    """Seconds knob ``name``: above 0 when ``positive``, else at least 0.
+
+    Unset or blank means ``default``; with ``off``, a false value
+    (``0/false/off/no``) reads as ``0.0``.  Anything else that is not
+    such a number raises a ``ValueError`` like :func:`_int_from_env`'s.
+    """
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    if off and raw.lower() in _FALSE_VALUES:
+        return 0.0
+    kind = "positive" if positive else "non-negative"
+    error = ValueError(
+        f"{name} must be a {kind} {noun} (e.g. {name}={example}), got {raw!r}"
+    )
+    try:
+        seconds = float(raw)
+    except ValueError:
+        raise error from None
+    if seconds <= 0 if positive else seconds < 0:
+        raise error
+    return seconds
+
+
+def _flag_from_env(name: str, default: bool) -> bool:
+    """Boolean knob ``name``: ``1/true/on/yes`` or ``0/false/off/no``.
+
+    Case-insensitive; unset or blank means ``default``.
+    """
+    raw = os.environ.get(name, "").strip().lower()
+    if not raw:
+        return default
+    if raw in _TRUE_VALUES:
+        return True
+    if raw in _FALSE_VALUES:
+        return False
+    raise ValueError(
+        f"{name} must be one of 1/0, true/false, on/off, yes/no; got {raw!r}"
+    )
+
+
 def jobs_from_env(default: int = 1) -> int:
     """Worker count for the experiment fan-out (``REPRO_JOBS``).
 
@@ -58,22 +134,9 @@ def jobs_from_env(default: int = 1) -> int:
     positive integer raises a ``ValueError`` naming the variable and
     the offending value.
     """
-    raw = os.environ.get("REPRO_JOBS", "").strip()
-    if not raw:
-        return default
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_JOBS must be a positive integer worker count "
-            f"(e.g. REPRO_JOBS=4), got {raw!r}"
-        ) from None
-    if jobs < 1:
-        raise ValueError(
-            f"REPRO_JOBS must be a positive integer worker count "
-            f"(e.g. REPRO_JOBS=4), got {raw!r}"
-        )
-    return jobs
+    return _int_from_env(
+        "REPRO_JOBS", default, positive=True, noun="worker count", example=4
+    )
 
 
 def profile_from_env(default: str = "quick") -> str:
@@ -117,17 +180,7 @@ def contracts_from_env(default: bool = True) -> bool:
     Accepts ``1/true/on/yes`` and ``0/false/off/no`` (case-insensitive);
     unset or blank means ``default``.
     """
-    raw = os.environ.get("REPRO_CONTRACTS", "").strip().lower()
-    if not raw:
-        return default
-    if raw in _TRUE_VALUES:
-        return True
-    if raw in _FALSE_VALUES:
-        return False
-    raise ValueError(
-        f"REPRO_CONTRACTS must be one of 1/0, true/false, on/off, yes/no; "
-        f"got {raw!r}"
-    )
+    return _flag_from_env("REPRO_CONTRACTS", default)
 
 
 def cext_sanitize_from_env(default: bool = False) -> bool:
@@ -141,17 +194,7 @@ def cext_sanitize_from_env(default: bool = False) -> bool:
     ``1/true/on/yes`` and ``0/false/off/no`` (case-insensitive); unset
     or blank means ``default``.
     """
-    raw = os.environ.get("REPRO_CEXT_SANITIZE", "").strip().lower()
-    if not raw:
-        return default
-    if raw in _TRUE_VALUES:
-        return True
-    if raw in _FALSE_VALUES:
-        return False
-    raise ValueError(
-        f"REPRO_CEXT_SANITIZE must be one of 1/0, true/false, on/off, "
-        f"yes/no; got {raw!r}"
-    )
+    return _flag_from_env("REPRO_CEXT_SANITIZE", default)
 
 
 def trace_from_env(default: str | None = None) -> str | None:
@@ -185,22 +228,9 @@ def retries_from_env(default: int = 0) -> int:
     retries); anything that is not a non-negative integer raises a
     ``ValueError`` naming the variable and the offending value.
     """
-    raw = os.environ.get("REPRO_RETRIES", "").strip()
-    if not raw:
-        return default
-    try:
-        retries = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_RETRIES must be a non-negative integer retry count "
-            f"(e.g. REPRO_RETRIES=2), got {raw!r}"
-        ) from None
-    if retries < 0:
-        raise ValueError(
-            f"REPRO_RETRIES must be a non-negative integer retry count "
-            f"(e.g. REPRO_RETRIES=2), got {raw!r}"
-        )
-    return retries
+    return _int_from_env(
+        "REPRO_RETRIES", default, positive=False, noun="retry count", example=2
+    )
 
 
 def task_timeout_from_env(default: float | None = None) -> float | None:
@@ -210,22 +240,15 @@ def task_timeout_from_env(default: float | None = None) -> float | None:
     means ``default`` (no deadline).  Anything else must be a positive
     number of seconds (fractions allowed).
     """
-    raw = os.environ.get("REPRO_TASK_TIMEOUT", "").strip()
-    if not raw or raw.lower() in _FALSE_VALUES:
-        return default
-    try:
-        seconds = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_TASK_TIMEOUT must be a positive number of seconds "
-            f"(e.g. REPRO_TASK_TIMEOUT=300), got {raw!r}"
-        ) from None
-    if seconds <= 0:
-        raise ValueError(
-            f"REPRO_TASK_TIMEOUT must be a positive number of seconds "
-            f"(e.g. REPRO_TASK_TIMEOUT=300), got {raw!r}"
-        )
-    return seconds
+    seconds = _seconds_from_env(
+        "REPRO_TASK_TIMEOUT",
+        0.0,
+        positive=True,
+        noun="number of seconds",
+        example="300",
+        off=True,
+    )
+    return seconds or default
 
 
 def backoff_from_env(default: float = 0.05) -> float:
@@ -235,22 +258,13 @@ def backoff_from_env(default: float = 0.05) -> float:
     small deterministic jitter derived from the cell key).  Unset or
     blank means ``default``; the value must be a non-negative number.
     """
-    raw = os.environ.get("REPRO_BACKOFF", "").strip()
-    if not raw:
-        return default
-    try:
-        base = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BACKOFF must be a non-negative number of seconds "
-            f"(e.g. REPRO_BACKOFF=0.5), got {raw!r}"
-        ) from None
-    if base < 0:
-        raise ValueError(
-            f"REPRO_BACKOFF must be a non-negative number of seconds "
-            f"(e.g. REPRO_BACKOFF=0.5), got {raw!r}"
-        )
-    return base
+    return _seconds_from_env(
+        "REPRO_BACKOFF",
+        default,
+        positive=False,
+        noun="number of seconds",
+        example="0.5",
+    )
 
 
 def faults_from_env(default: str = "") -> str:
@@ -271,24 +285,14 @@ def heartbeat_from_env(default: float = 5.0) -> float:
     ``default``; ``0`` or any false value disables heartbeats; the
     value must otherwise be a non-negative number.
     """
-    raw = os.environ.get("REPRO_HEARTBEAT", "").strip()
-    if not raw:
-        return default
-    if raw.lower() in _FALSE_VALUES:
-        return 0.0
-    try:
-        seconds = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_HEARTBEAT must be a non-negative number of seconds "
-            f"or a false value (e.g. REPRO_HEARTBEAT=10), got {raw!r}"
-        ) from None
-    if seconds < 0:
-        raise ValueError(
-            f"REPRO_HEARTBEAT must be a non-negative number of seconds "
-            f"or a false value (e.g. REPRO_HEARTBEAT=10), got {raw!r}"
-        )
-    return seconds
+    return _seconds_from_env(
+        "REPRO_HEARTBEAT",
+        default,
+        positive=False,
+        noun="number of seconds or a false value",
+        example="10",
+        off=True,
+    )
 
 
 def model_dir_from_env(default: str = ".") -> str:
@@ -312,22 +316,13 @@ def serve_batch_from_env(default: int = 4096) -> int:
     closes).  Unset or blank means ``default``; anything that is not a
     positive integer raises a ``ValueError`` naming the variable.
     """
-    raw = os.environ.get("REPRO_SERVE_BATCH", "").strip()
-    if not raw:
-        return default
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SERVE_BATCH must be a positive integer point budget "
-            f"(e.g. REPRO_SERVE_BATCH=4096), got {raw!r}"
-        ) from None
-    if budget < 1:
-        raise ValueError(
-            f"REPRO_SERVE_BATCH must be a positive integer point budget "
-            f"(e.g. REPRO_SERVE_BATCH=4096), got {raw!r}"
-        )
-    return budget
+    return _int_from_env(
+        "REPRO_SERVE_BATCH",
+        default,
+        positive=True,
+        noun="point budget",
+        example=4096,
+    )
 
 
 def serve_delay_from_env(default: float = 0.002) -> float:
@@ -338,22 +333,13 @@ def serve_delay_from_env(default: float = 0.002) -> float:
     the moment it is dequeued.  Unset or blank means ``default``; the
     value must be a non-negative number of seconds.
     """
-    raw = os.environ.get("REPRO_SERVE_DELAY", "").strip()
-    if not raw:
-        return default
-    try:
-        seconds = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SERVE_DELAY must be a non-negative number of seconds "
-            f"(e.g. REPRO_SERVE_DELAY=0.005), got {raw!r}"
-        ) from None
-    if seconds < 0:
-        raise ValueError(
-            f"REPRO_SERVE_DELAY must be a non-negative number of seconds "
-            f"(e.g. REPRO_SERVE_DELAY=0.005), got {raw!r}"
-        )
-    return seconds
+    return _seconds_from_env(
+        "REPRO_SERVE_DELAY",
+        default,
+        positive=False,
+        noun="number of seconds",
+        example="0.005",
+    )
 
 
 def serve_cache_from_env(default: int = 4) -> int:
@@ -364,22 +350,9 @@ def serve_cache_from_env(default: int = 4) -> int:
     ``default``; anything that is not a positive integer raises a
     ``ValueError`` naming the variable.
     """
-    raw = os.environ.get("REPRO_SERVE_CACHE", "").strip()
-    if not raw:
-        return default
-    try:
-        capacity = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SERVE_CACHE must be a positive integer model count "
-            f"(e.g. REPRO_SERVE_CACHE=4), got {raw!r}"
-        ) from None
-    if capacity < 1:
-        raise ValueError(
-            f"REPRO_SERVE_CACHE must be a positive integer model count "
-            f"(e.g. REPRO_SERVE_CACHE=4), got {raw!r}"
-        )
-    return capacity
+    return _int_from_env(
+        "REPRO_SERVE_CACHE", default, positive=True, noun="model count", example=4
+    )
 
 
 def propagate_trace_env(target: str = "") -> None:

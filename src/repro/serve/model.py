@@ -210,14 +210,13 @@ def save_model(model: FittedModel | MrCC, path: str | Path) -> Path:
         ]
     )
     for h in sorted(model.levels):
-        soa = model.levels[h].soa()
-        keys = np.asarray(soa.keys)
-        arrays.append((f"level{h}/coords", soa.coords.astype("<i8", copy=False)))
-        arrays.append((f"level{h}/counts", soa.counts.astype("<i8", copy=False)))
+        level = model.levels[h]
+        arrays.append((f"level{h}/coords", level.coords.astype("<i8", copy=False)))
+        arrays.append((f"level{h}/counts", level.n.astype("<i8", copy=False)))
         arrays.append(
-            (f"level{h}/half_counts", soa.half_counts.astype("<i8", copy=False))
+            (f"level{h}/half_counts", level.half_counts.astype("<i8", copy=False))
         )
-        arrays.append((f"level{h}/keys", keys))
+        arrays.append((f"level{h}/keys", np.asarray(level.keys)))
 
     with obs.span("serve.save"):
         write_model(path, model.meta, arrays)

@@ -1,9 +1,15 @@
 """Tests for the β-cluster search (Algorithm 2)."""
 
 import numpy as np
+import pytest
 
+from repro.core import kernels
 from repro.core.beta_cluster import BetaCluster, find_beta_clusters
 from repro.core.counting_tree import CountingTree
+from repro.core.mrcc import MrCC
+from repro.serve import load_model, save_model
+
+AVAILABLE = kernels.available_backends()
 
 
 def _tree(points, H=4):
@@ -127,3 +133,55 @@ class TestFindBetaClusters:
         others = [j for j in range(points.shape[1]) if j not in beta.relevant_axes]
         if planted and others:
             assert beta.relevances[planted].min() > beta.relevances[others].max()
+
+
+def _same_betas(left, right):
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        np.testing.assert_array_equal(a.lower, b.lower)
+        np.testing.assert_array_equal(a.upper, b.upper)
+        np.testing.assert_array_equal(a.relevant, b.relevant)
+        np.testing.assert_array_equal(a.relevances, b.relevances)
+        assert (a.level, a.center_row) == (b.level, b.center_row)
+
+
+@pytest.mark.parametrize(
+    "backend", [name for name in ("numpy", "cext") if name in AVAILABLE]
+)
+class TestSearchLeavesTreeUnchanged:
+    """The search's usedCell flags are its own: the tree is read-only."""
+
+    @pytest.fixture(autouse=True)
+    def _pin_backend(self, backend, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+
+    def test_repeated_search_agrees(self):
+        rng = np.random.default_rng(3)
+        parts = [
+            _planted(rng, 400, 6, axes=(0, 1, 2), means=(0.2, 0.3, 0.7)),
+            _planted(rng, 400, 6, axes=(2, 3, 4), means=(0.6, 0.8, 0.1)),
+            _planted(rng, 400, 6, axes=(1, 5), means=(0.55, 0.35)),
+            rng.uniform(0, 1, size=(300, 6)),
+        ]
+        points = np.clip(np.vstack(parts), 0, np.nextafter(1.0, 0))
+        tree = _tree(points, H=5)
+        first = find_beta_clusters(tree, alpha=1e-10)
+        assert len(first) >= 2
+        _same_betas(find_beta_clusters(tree, alpha=1e-10), first)
+
+    def test_memmapped_model_tree_reproduces_its_betas(self, tmp_path):
+        rng = np.random.default_rng(4)
+        parts = [
+            _planted(rng, 500, 5, axes=(0, 1), means=(0.25, 0.75)),
+            _planted(rng, 500, 5, axes=(2, 3), means=(0.6, 0.15)),
+            rng.uniform(0, 1, size=(200, 5)),
+        ]
+        estimator = MrCC(n_resolutions=5)
+        estimator.fit(np.vstack(parts))
+        path = save_model(estimator, tmp_path / "m.model")
+        model = load_model(path, mmap=True)
+        assert model.betas
+        _same_betas(
+            find_beta_clusters(model.tree(), alpha=model.meta["alpha"]),
+            model.betas,
+        )

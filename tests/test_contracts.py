@@ -133,7 +133,6 @@ class TestCheckLevel:
             coords = level.coords
             n = level.n[:-1]  # one count short
             half_counts = level.half_counts
-            used = level.used
 
         with pytest.raises(ContractError, match="disagree"):
             check_level("levels[1]", Broken())

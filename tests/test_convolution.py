@@ -83,8 +83,8 @@ class TestConvolveLevel:
         tree = _tree(points)
         level = tree.level(2)
         responses = level_responses(level)
-        excluded = np.zeros(level.n_cells, dtype=bool)
-        row = convolve_level(tree, 2, responses, excluded)
+        taken = np.zeros(level.n_cells, dtype=bool)
+        row = convolve_level(responses, taken)
         assert np.array_equal(level.coords[row], [0, 0])
 
     def test_respects_used_flags(self):
@@ -94,10 +94,10 @@ class TestConvolveLevel:
         tree = _tree(points)
         level = tree.level(2)
         responses = level_responses(level)
-        excluded = np.zeros(level.n_cells, dtype=bool)
-        best = convolve_level(tree, 2, responses, excluded)
-        level.used[best] = True
-        second = convolve_level(tree, 2, responses, excluded)
+        taken = np.zeros(level.n_cells, dtype=bool)
+        best = convolve_level(responses, taken)
+        taken[best] = True
+        second = convolve_level(responses, taken)
         assert second != best
         assert np.array_equal(level.coords[second], [3, 3])
 
@@ -106,8 +106,8 @@ class TestConvolveLevel:
         tree = _tree(points)
         level = tree.level(2)
         responses = level_responses(level)
-        excluded = np.ones(level.n_cells, dtype=bool)
-        assert convolve_level(tree, 2, responses, excluded) == -1
+        taken = np.ones(level.n_cells, dtype=bool)
+        assert convolve_level(responses, taken) == -1
 
     def test_deterministic_tie_break(self):
         points = np.vstack(
@@ -116,6 +116,6 @@ class TestConvolveLevel:
         tree = _tree(points)
         level = tree.level(2)
         responses = level_responses(level)
-        excluded = np.zeros(level.n_cells, dtype=bool)
-        rows = {convolve_level(tree, 2, responses, excluded) for _ in range(5)}
+        taken = np.zeros(level.n_cells, dtype=bool)
+        rows = {convolve_level(responses, taken) for _ in range(5)}
         assert len(rows) == 1

@@ -305,7 +305,7 @@ def _assert_levels_identical(actual, expected):
             got, want = getattr(a, name), getattr(e, name)
             assert got.dtype == want.dtype, (h, name)
             assert np.array_equal(got, want), (h, name)
-        assert a._sorted_keys.tobytes() == e._sorted_keys.tobytes(), h
+        assert a.keys.tobytes() == e.keys.tobytes(), h
 
 
 class TestPackedWordGrouping:

@@ -24,9 +24,9 @@ from repro import obs
 from repro.core import kernels
 from repro.core.kernels import cext_backend
 from repro.core.beta_cluster import find_beta_clusters
-from repro.core.counting_tree import CountingTree, void_keys
+from repro.core.counting_tree import CountingTree, Level
 from repro.core.hypothesis_test import critical_values
-from repro.core.kernels import LevelSoA, loops, reference
+from repro.core.kernels import loops, reference
 from repro.core.mrcc import MrCC
 from repro.data.synthetic import SyntheticDatasetSpec, generate_dataset
 
@@ -34,6 +34,11 @@ AVAILABLE = kernels.available_backends()
 COMPILED = tuple(
     name for name in AVAILABLE if kernels.get_backend(name).compiled
 )
+
+
+def _limit(level):
+    """Largest admissible coordinate of ``level`` (``2**h - 1``)."""
+    return (1 << level.h) - 1
 
 
 class _LoopsAdapter:
@@ -54,21 +59,21 @@ class _LoopsAdapter:
         )
 
     @staticmethod
-    def level_responses(soa):
-        return loops.level_responses(soa.coords, soa.counts, soa.limit)
+    def level_responses(level):
+        return loops.level_responses(level.coords, level.n, _limit(level))
 
     @staticmethod
-    def box_scan(soa, lo, hi, start, stop):
-        return loops.box_scan(soa.coords, lo, hi, start, stop)
+    def box_scan(level, lo, hi, start, stop):
+        return loops.box_scan(level.coords, lo, hi, start, stop)
 
     @staticmethod
     def label_rows(points, lower, upper, box_group):
         return loops.label_rows(points, lower, upper, box_group)
 
     @staticmethod
-    def six_region(soa, position, bits):
+    def six_region(level, row, bits):
         return loops.six_region(
-            soa.coords, soa.counts, soa.half_counts, position, bits, soa.limit
+            level.coords, level.n, level.half_counts, row, bits, _limit(level)
         )
 
     @staticmethod
@@ -85,7 +90,7 @@ def implementation(name):
 
 @st.composite
 def level_views(draw):
-    """A random key-sorted :class:`LevelSoA` (unique cells, valid halves)."""
+    """A random key-sorted :class:`Level` (unique cells, valid halves)."""
     seed = draw(st.integers(0, 10_000))
     d = draw(st.integers(1, 6))
     h = draw(st.integers(1, 5))
@@ -101,14 +106,7 @@ def level_views(draw):
     half_counts = rng.integers(
         0, counts[:, None] + 1, size=(coords.shape[0], d)
     ).astype(np.int64)
-    return LevelSoA(
-        h=h,
-        coords=coords,
-        counts=counts,
-        half_counts=half_counts,
-        order=None,
-        keys=void_keys(coords),
-    )
+    return Level.from_key_sorted(h, coords, counts, half_counts)
 
 
 @st.composite
@@ -387,41 +385,41 @@ class TestSanitizedBuild:
 class TestKernelEquivalence:
     """Each kernel, every implementation, against the numpy oracle."""
 
-    @given(soa=level_views())
+    @given(level=level_views())
     @settings(max_examples=40, deadline=None)
-    def test_level_responses_bit_identical(self, name, soa):
+    def test_level_responses_bit_identical(self, name, level):
         impl = implementation(name)
         np.testing.assert_array_equal(
-            impl.level_responses(soa), reference.level_responses(soa)
+            impl.level_responses(level), reference.level_responses(level)
         )
 
-    @given(soa=level_views(), data=st.data())
+    @given(level=level_views(), data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_box_scan_bit_identical(self, name, soa, data):
+    def test_box_scan_bit_identical(self, name, level, data):
         impl = implementation(name)
-        d, m = soa.coords.shape[1], soa.n_cells
+        d, m, limit = level.coords.shape[1], level.n_cells, _limit(level)
         rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
-        lo = rng.integers(0, soa.limit + 1, size=d).astype(np.int64)
+        lo = rng.integers(0, limit + 1, size=d).astype(np.int64)
         hi = np.minimum(
-            lo + rng.integers(0, soa.limit + 1, size=d), soa.limit
+            lo + rng.integers(0, limit + 1, size=d), limit
         ).astype(np.int64)
         start = int(rng.integers(0, m + 1))
         stop = int(rng.integers(start, m + 1))
         np.testing.assert_array_equal(
-            impl.box_scan(soa, lo, hi, start, stop),
-            reference.box_scan(soa, lo, hi, start, stop),
+            impl.box_scan(level, lo, hi, start, stop),
+            reference.box_scan(level, lo, hi, start, stop),
         )
 
-    @given(soa=level_views(), data=st.data())
+    @given(level=level_views(), data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_six_region_bit_identical(self, name, soa, data):
+    def test_six_region_bit_identical(self, name, level, data):
         impl = implementation(name)
-        d = soa.coords.shape[1]
-        position = data.draw(st.integers(0, soa.n_cells - 1))
+        d = level.coords.shape[1]
+        row = data.draw(st.integers(0, level.n_cells - 1))
         rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
         bits = rng.integers(0, 2, size=d).astype(np.int64)
-        center, total = impl.six_region(soa, position, bits)
-        ref_center, ref_total = reference.six_region(soa, position, bits)
+        center, total = impl.six_region(level, row, bits)
+        ref_center, ref_total = reference.six_region(level, row, bits)
         np.testing.assert_array_equal(center, ref_center)
         np.testing.assert_array_equal(total, ref_total)
 

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.mrcc import MrCC
 from repro.data.rotation import rotate_dataset
+from repro.data.synthetic import SyntheticDatasetSpec, generate_dataset
 from repro.evaluation.quality import evaluate_clustering, quality
 from repro.types import NOISE_LABEL
+
+AVAILABLE = kernels.available_backends()
 
 
 class TestValidation:
@@ -132,3 +136,26 @@ class TestRobustness:
         found_noise = result.labels == NOISE_LABEL
         # Most of the injected uniform noise must stay outside clusters.
         assert found_noise[true_noise].mean() > 0.7
+
+
+@pytest.mark.parametrize(
+    "backend", [name for name in ("numpy", "cext") if name in AVAILABLE]
+)
+def test_row_permutation_permutes_labels(backend, monkeypatch):
+    """Fitting the rows in another order labels each row the same."""
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    dataset = generate_dataset(
+        SyntheticDatasetSpec(
+            dimensionality=8,
+            n_points=10_000,
+            n_clusters=4,
+            noise_fraction=0.15,
+            max_irrelevant=3,
+            seed=21,
+        )
+    )
+    perm = np.random.default_rng(5).permutation(dataset.points.shape[0])
+    labels = MrCC(n_resolutions=5).fit(dataset.points).labels
+    permuted = MrCC(n_resolutions=5).fit(dataset.points[perm]).labels
+    assert len(np.unique(labels)) > 2
+    np.testing.assert_array_equal(permuted, labels[perm])

@@ -11,13 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.beta_cluster import BetaCluster, _grow_bounds, find_beta_clusters
-from repro.core.convolution import (
-    convolve_level,
-    level_responses,
-    overlap_mask,
-    overlap_rows,
-)
+from repro.core.beta_cluster import find_beta_clusters, reference_find_beta_clusters
+from repro.core.convolution import overlap_mask, overlap_rows
 from repro.core.counting_tree import (
     CountingTree,
     aggregate_levels,
@@ -25,8 +20,6 @@ from repro.core.counting_tree import (
     reference_levels,
     tree_from_levels,
 )
-from repro.core.hypothesis_test import neighborhood_counts, significant_axes
-from repro.core.mdl import mdl_cut_threshold
 from repro.data.synthetic import SyntheticDatasetSpec, generate_dataset
 from repro.experiments.runner import jobs_from_env, run_suite
 
@@ -74,47 +67,6 @@ class TestAggregatedBuildEquivalence:
             np.testing.assert_array_equal(tree.level(h).n, reference.level(h).n)
 
 
-def _seed_search(tree, alpha):
-    """The pre-optimisation Algorithm 2 loop: full masked argmax per
-    level per restart, full-level overlap masks per found box."""
-    responses = {h: level_responses(tree.level(h)) for h in tree.levels if h >= 2}
-    excluded = {
-        h: np.zeros(tree.level(h).n_cells, dtype=bool)
-        for h in tree.levels
-        if h >= 2
-    }
-    found = []
-    while True:
-        new_cluster = None
-        for h in tree.levels:
-            if h < 2:
-                continue
-            level = tree.level(h)
-            row = convolve_level(tree, h, responses[h], excluded[h])
-            if row < 0:
-                continue
-            level.used[row] = True
-            counts = neighborhood_counts(tree, h, row)
-            if not np.any(significant_axes(counts, alpha)):
-                continue
-            relevances = counts.relevances()
-            threshold = mdl_cut_threshold(relevances)
-            relevant = relevances >= threshold
-            lower, upper = _grow_bounds(tree, h, row, relevant)
-            new_cluster = BetaCluster(
-                lower=lower, upper=upper, relevant=relevant,
-                level=h, center_row=row, relevances=relevances,
-            )
-            break
-        if new_cluster is None:
-            return found
-        found.append(new_cluster)
-        for h in excluded:
-            excluded[h] |= overlap_mask(
-                tree.level(h), new_cluster.lower, new_cluster.upper
-            )
-
-
 class TestIncrementalSearchEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_seed_search(self, seed):
@@ -128,12 +80,11 @@ class TestIncrementalSearchEquivalence:
                 seed=seed,
             )
         )
-        # Two separately built (identical) trees: the search mutates
-        # usedCell flags, so the arms must not share one.
-        incremental_tree = CountingTree(dataset.points, n_resolutions=5)
-        seed_tree = CountingTree(dataset.points, n_resolutions=5)
-        fast = find_beta_clusters(incremental_tree, alpha=1e-10)
-        slow = _seed_search(seed_tree, alpha=1e-10)
+        # The search keeps its usedCell flags to itself, so both arms
+        # read one tree.
+        tree = CountingTree(dataset.points, n_resolutions=5)
+        fast = find_beta_clusters(tree, alpha=1e-10)
+        slow = reference_find_beta_clusters(tree, alpha=1e-10)
         assert len(fast) == len(slow)
         for a, b in zip(fast, slow):
             np.testing.assert_array_equal(a.lower, b.lower)

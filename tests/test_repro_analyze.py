@@ -23,6 +23,7 @@ from tools.repro_analyze import (
     parse_baseline,
     write_baseline,
 )
+from tools.repro_analyze import cparse
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -822,6 +823,20 @@ class TestEquivalencePass:
         assert codes(findings) == ["A502"]
         assert "[F(F)]" in findings[0].message
         assert "[F]" in findings[0].message
+
+    def test_braced_block_in_braceless_body_stays_nested(self):
+        # A brace-less loop body whose statement holds a braced block
+        # ends at the block's closing brace, not at its first ``;``.
+        source = (
+            "void f(const int64_t *a, int64_t *out, int64_t n) {\n"
+            "    for (int64_t i = 0; i < n; i++) if (a[i] > 0) {\n"
+            "        out[i] = 1;\n"
+            "        for (int64_t j = 0; j < n; j++) out[j] += 1;\n"
+            "    }\n"
+            "}\n"
+        )
+        functions = cparse.parse_functions(source)
+        assert cparse.loop_skeleton(functions["f"], functions) == "F(F)"
 
     def test_constant_mismatch_flagged(self, tmp_path):
         # The injected divergence: the C guard band is an order of

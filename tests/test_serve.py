@@ -540,6 +540,29 @@ class TestBatchLabeller:
         assert stats["requests"] == 3 and stats["errors"] == 1
         assert stats["batches"] == 1
 
+    def test_wrong_width_request_fails_alone(self, small_fit, tmp_path):
+        # A request with one axis too few fails with ValueError; the
+        # request batched with it is labelled as usual.
+        estimator, points = small_fit
+        save_model(estimator, tmp_path / "m.model")
+        cache = ModelCache(root=tmp_path)
+
+        async def main():
+            async with BatchLabeller(cache, delay=0.01) as labeller:
+                outcomes = await asyncio.gather(
+                    labeller.label("m.model", points[:40, :-1]),
+                    labeller.label("m.model", points[40:80]),
+                    return_exceptions=True,
+                )
+                return outcomes, labeller.stats()
+
+        (failed, labelled), stats = asyncio.run(main())
+        assert isinstance(failed, ValueError)
+        assert "axes" in str(failed)
+        assert np.array_equal(labelled, estimator.labels_[40:80])
+        assert stats["requests"] == 2 and stats["errors"] == 1
+        assert stats["batches"] == 1
+
     def test_label_requires_started_worker(self, tmp_path):
         labeller = BatchLabeller(ModelCache(root=tmp_path))
 

@@ -374,7 +374,7 @@ def _collect_assignments(body: str) -> dict[str, list[set[str]]]:
         if match.group(2):  # ++ / -- : self-referential step
             assignments.setdefault(name, []).append({name})
             continue
-        end = _statement_end(body, match.end())
+        end = _assignment_end(body, match.end())
         rhs = body[match.end() : end]
         ids = _identifiers(_strip_calls(rhs))
         if match.group(3):  # compound assignment reads the target too
@@ -383,7 +383,7 @@ def _collect_assignments(body: str) -> dict[str, list[set[str]]]:
     return assignments
 
 
-def _statement_end(text: str, start: int) -> int:
+def _assignment_end(text: str, start: int) -> int:
     """Offset of the ``;`` (or ``)`` for a for-clause) ending a statement."""
     depth = 0
     for i in range(start, len(text)):
