@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""Time the MrCC hot paths on pinned workloads; write ``BENCH_core.json``.
+"""Time MrCC's optimised core against its seed references; write ``BENCH_core.json``.
 
-Three hot paths are measured against the seed (pre-optimisation)
-reference implementations that the core keeps for exactly this purpose:
+Two optimised components are measured against the seed
+(pre-optimisation) implementations the core keeps for exactly this
+purpose, each under every loadable compute backend:
 
 * **tree build** — :func:`repro.core.counting_tree.aggregate_levels`
   (bin and pack the points once, aggregate coarser levels from finer
@@ -10,21 +11,23 @@ reference implementations that the core keeps for exactly this purpose:
   :func:`repro.core.counting_tree.reference_levels` (one full rescan of
   the pre-binned η points per level);
 * **β-cluster search** — the incremental cursor/exclusion search of
-  :func:`repro.core.beta_cluster.find_beta_clusters` versus the seed's
-  full masked argmax + full-level overlap masks per restart;
-* **end-to-end ``MrCC.fit``** — whose labels must not change versus the
-  all-reference pipeline.
+  :func:`repro.core.beta_cluster.find_beta_clusters` versus
+  :func:`repro.core.beta_cluster.reference_find_beta_clusters`.
 
-Results are written as a machine-readable JSON trajectory at the repo
-root (``BENCH_core.json``), keyed by workload, so future PRs can extend
-or compare against it.  Exit status is non-zero when a regression gate
-fails (aggregated build must beat the rescan; on the full profile by
-the ≥ 2× acceptance bar at H=5, d=15, η=100k).
+The seed arm always runs on the numpy oracle, so its number means the
+same on every machine.  Each backend's arm records whether its result
+equals the seed's (``matches_reference``).  End-to-end numbers (fit,
+serving, tracing overhead) are not measured here: the gated
+``mrcc_bench`` workloads declared in ``BENCHMARK.json`` own them.
+
+:func:`gate_failures` reads a payload's speedup floors and equality
+flags; the script exits non-zero when it reports any, and
+``tests/test_bench_core.py`` applies it to the committed file.
 
 Usage::
 
     PYTHONPATH=src python scripts/perf_baseline.py           # full profile
-    PYTHONPATH=src python scripts/perf_baseline.py --quick   # CI smoke
+    PYTHONPATH=src python scripts/perf_baseline.py --quick   # small smoke profile
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import contextlib
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +47,6 @@ from repro.core.beta_cluster import (
     find_beta_clusters,
     reference_find_beta_clusters,
 )
-from repro.core.correlation_cluster import build_correlation_clusters
 from repro.core.counting_tree import (
     CountingTree,
     aggregate_levels,
@@ -52,11 +54,10 @@ from repro.core.counting_tree import (
     reference_levels,
     tree_from_levels,
 )
-from repro.core.mrcc import MrCC
 from repro.obs import perf_clock
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 TREE_SPEEDUP_FLOOR_FULL = 2.0
 BETA_COMPILED_SPEEDUP_FLOOR = 5.0
 
@@ -125,39 +126,44 @@ def best_of(repeats: int, fn):
     return best, value
 
 
-def bench_obs_overhead(eta: int) -> dict:
-    """Observability overhead on the fit workload (see the benchmark).
+def compare_to_reference(
+    reference: Callable,
+    optimised: Callable,
+    same: Callable,
+    backends: dict[str, dict],
+    repeats: int,
+) -> tuple[float, object, dict[str, dict]]:
+    """Time the seed arm on numpy and the optimised arm on each backend.
 
-    Reuses :func:`bench_obs_overhead.measure_obs_overhead` so the perf
-    trajectory and the pytest guard report the same numbers.
+    Returns the seed seconds, the seed result and one arm per backend:
+    its seconds, its speedup over the seed, its speedup over the numpy
+    backend's optimised arm (what compilation alone buys), and whether
+    its result equals the seed's.
     """
-    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-    try:
-        from bench_obs_overhead import measure_obs_overhead
-    finally:
-        sys.path.pop(0)
-    return measure_obs_overhead(eta)
+    with use_backend("numpy"):
+        reference_s, expected = best_of(repeats, reference)
+    arms: dict[str, dict] = {}
+    for name in backends:
+        with use_backend(name):
+            seconds, value = best_of(repeats, optimised)
+        arms[name] = {
+            "seconds": seconds,
+            "speedup": reference_s / seconds,
+            "matches_reference": bool(same(value, expected)),
+        }
+    numpy_s = arms["numpy"]["seconds"]
+    for arm in arms.values():
+        arm["speedup_vs_numpy"] = numpy_s / arm["seconds"]
+    return reference_s, expected, arms
 
 
-def bench_tree_build(eta: int, d: int, h: int, repeats: int, seed: int) -> dict:
-    points = clustered_points(eta, d, n_clusters=10, noise_fraction=0.15, seed=seed)
-    base = bin_points(points, h)
-    aggregated_s, aggregated = best_of(repeats, lambda: aggregate_levels(points, h))
-    reference_s, reference = best_of(repeats, lambda: reference_levels(base, h, d))
-    for level in aggregated:
-        a, b = aggregated[level], reference[level]
-        if not (
-            np.array_equal(a.coords, b.coords)
-            and np.array_equal(a.n, b.n)
-            and np.array_equal(a.half_counts, b.half_counts)
-        ):
-            raise AssertionError(f"aggregated level {level} differs from rescan")
-    return {
-        "params": {"eta": eta, "d": d, "H": h},
-        "aggregated_seconds": aggregated_s,
-        "reference_seconds": reference_s,
-        "speedup": reference_s / aggregated_s,
-    }
+def _same_levels(left: dict, right: dict) -> bool:
+    return left.keys() == right.keys() and all(
+        np.array_equal(left[h].coords, right[h].coords)
+        and np.array_equal(left[h].n, right[h].n)
+        and np.array_equal(left[h].half_counts, right[h].half_counts)
+        for h in left
+    )
 
 
 def _same_betas(left: list, right: list) -> bool:
@@ -167,6 +173,27 @@ def _same_betas(left: list, right: list) -> bool:
         and np.array_equal(a.relevant, b.relevant)
         for a, b in zip(left, right)
     )
+
+
+def bench_tree_build(
+    eta: int, d: int, h: int, repeats: int, seed: int, backends: dict[str, dict]
+) -> dict:
+    points = clustered_points(eta, d, n_clusters=10, noise_fraction=0.15, seed=seed)
+    base = bin_points(points, h)
+    # The aggregated arm bins as well; the rescan gets its binning free.
+    reference_s, reference, arms = compare_to_reference(
+        lambda: reference_levels(base, h, d),
+        lambda: aggregate_levels(points, h),
+        _same_levels,
+        backends,
+        repeats,
+    )
+    return {
+        "params": {"eta": eta, "d": d, "H": h},
+        "reference_seconds": reference_s,
+        "n_cells": sum(level.n_cells for level in reference.values()),
+        "backends": arms,
+    }
 
 
 def bench_beta_search(
@@ -184,233 +211,71 @@ def bench_beta_search(
         eta, d, n_clusters=n_clusters, noise_fraction=0.10, seed=seed
     )
     alpha = 1e-10
-    # All arms search the same pre-built tree (trees are identical by
-    # the build equivalence), so only the search itself is timed; the
-    # search leaves the tree unchanged, so repeats reuse it.
+    # Both arms search a pre-built tree (trees are identical by the
+    # build equivalence), so only the search itself is timed; a search
+    # leaves its tree unchanged, so repeats reuse it.
     tree = CountingTree(points, n_resolutions=h)
     reference_tree = tree_from_levels(
         reference_levels(bin_points(points, h), h, d), d, eta, h
     )
-
-    def incremental():
-        return find_beta_clusters(tree, alpha)
-
-    def reference():
-        return reference_find_beta_clusters(reference_tree, alpha)
-
-    # The seed search arm is a numpy-era yardstick; pin it to the
-    # oracle backend so the reference number means the same everywhere.
-    with use_backend("numpy"):
-        reference_s, reference_betas = best_of(repeats, reference)
-
-    row = {
-        "params": {"eta": eta, "d": d, "H": h, "alpha": alpha},
-        "reference_seconds": reference_s,
-        "n_beta_clusters": len(reference_betas),
-        "backends": {},
-    }
-    for name in backends:
-        with use_backend(name):
-            incremental_s, betas = best_of(repeats, incremental)
-        if not _same_betas(betas, reference_betas):
-            raise AssertionError(
-                f"{name} search differs from the seed search"
-            )
-        row["backends"][name] = {
-            "incremental_seconds": incremental_s,
-            "speedup": reference_s / incremental_s,
-        }
-    numpy_s = row["backends"]["numpy"]["incremental_seconds"]
-    for name, arm in row["backends"].items():
-        arm["speedup_vs_numpy_incremental"] = numpy_s / arm["incremental_seconds"]
-    return row
-
-
-def bench_fit(
-    eta: int,
-    d: int,
-    h: int,
-    repeats: int,
-    seed: int,
-    backends: dict[str, dict],
-    reference_repeats: int | None = None,
-    n_clusters: int = 8,
-) -> dict:
-    points = clustered_points(
-        eta, d, n_clusters=n_clusters, noise_fraction=0.15, seed=seed
+    reference_s, reference, arms = compare_to_reference(
+        lambda: reference_find_beta_clusters(reference_tree, alpha),
+        lambda: find_beta_clusters(tree, alpha),
+        _same_betas,
+        backends,
+        repeats,
     )
-    alpha = 1e-10
-
-    def optimised():
-        return MrCC(alpha=alpha, n_resolutions=h, normalize=False).fit(points)
-
-    def reference():
-        tree = tree_from_levels(
-            reference_levels(bin_points(points, h), h, d), d, eta, h
-        )
-        betas = reference_find_beta_clusters(tree, alpha)
-        return build_correlation_clusters(points, betas)
-
-    with use_backend("numpy"):
-        reference_s, reference_result = best_of(
-            reference_repeats or repeats, reference
-        )
-
-    row = {
+    return {
         "params": {"eta": eta, "d": d, "H": h, "alpha": alpha},
         "reference_seconds": reference_s,
-        "n_clusters": reference_result.n_clusters,
-        "backends": {},
+        "n_beta_clusters": len(reference),
+        "backends": arms,
     }
-    for name in backends:
-        with use_backend(name):
-            fit_s, result = best_of(repeats, optimised)
-        labels_match = bool(
-            np.array_equal(result.labels, reference_result.labels)
-        )
-        if not labels_match:
-            raise AssertionError(
-                f"MrCC.fit labels changed versus the reference pipeline "
-                f"under the {name} backend"
-            )
-        row["backends"][name] = {
-            "seconds": fit_s,
-            "speedup": reference_s / fit_s,
-            "labels_match_reference": labels_match,
-        }
-    return row
 
 
-def bench_serve(
-    eta: int,
-    d: int,
-    h: int,
-    repeats: int,
-    seed: int,
-    backends: dict[str, dict],
-    n_clusters: int = 8,
-    n_requests: int = 32,
-) -> dict:
-    """The serving arm: model save/load cost plus batched label latency.
+def gate_failures(payload: dict) -> list[str]:
+    """Every gate a ``BENCH_core.json`` payload misses, as messages.
 
-    One model is fitted and persisted, then for each backend the async
-    front end labels the full workload split into ``n_requests``
-    concurrent requests; the served labels must equal the fit's.
+    Each backend's result must equal the seed's.  The aggregated tree
+    build must beat the rescan on every backend, and by at least
+    ``TREE_SPEEDUP_FLOOR_FULL`` on the full profile.  On the full
+    profile each compiled backend's β-search must also beat the numpy
+    backend's by at least ``BETA_COMPILED_SPEEDUP_FLOOR``.
     """
-    import asyncio
-    import tempfile
-
-    from repro.serve import (
-        BatchLabeller,
-        ModelCache,
-        latency_quantiles,
-        load_model,
-        save_model,
-    )
-
-    points = clustered_points(
-        eta, d, n_clusters=n_clusters, noise_fraction=0.15, seed=seed
-    )
-    alpha = 1e-10
-    with use_backend("numpy"):
-        estimator = MrCC(alpha=alpha, n_resolutions=h, normalize=False)
-        reference_result = estimator.fit(points)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        model_path = Path(tmp) / "bench.model"
-        save_s, _ = best_of(repeats, lambda: save_model(estimator, model_path))
-        load_mmap_s, _ = best_of(repeats, lambda: load_model(model_path))
-        load_copy_s, _ = best_of(
-            repeats, lambda: load_model(model_path, mmap=False)
-        )
-        row = {
-            "params": {
-                "eta": eta, "d": d, "H": h, "alpha": alpha,
-                "n_requests": n_requests,
-            },
-            "model_bytes": model_path.stat().st_size,
-            "save_seconds": save_s,
-            "load_mmap_seconds": load_mmap_s,
-            "load_copy_seconds": load_copy_s,
-            "backends": {},
-        }
-        chunks = [
-            chunk
-            for chunk in np.array_split(points, n_requests)
-            if chunk.shape[0]
-        ]
-
-        def serve_once() -> tuple[np.ndarray, list[float]]:
-            cache = ModelCache(root=tmp, capacity=2)
-
-            async def run():
-                async with BatchLabeller(
-                    cache, batch_points=max(eta // 4, 1), delay=0.001
-                ) as labeller:
-                    parts = await asyncio.gather(
-                        *[
-                            labeller.label("bench.model", chunk)
-                            for chunk in chunks
-                        ]
+    full = payload["profile"] == "full"
+    compiled = {
+        name for name, info in payload["backends"].items() if info["compiled"]
+    }
+    failures = []
+    for key, row in payload["workloads"].items():
+        workload = key.split("/")[0]
+        for name, arm in row["backends"].items():
+            if not arm["matches_reference"]:
+                failures.append(f"{key} on {name}: result differs from the seed")
+            if workload == "tree_build":
+                floor = TREE_SPEEDUP_FLOOR_FULL if full else 1.0
+                if arm["speedup"] < floor or arm["speedup"] <= 1.0:
+                    failures.append(
+                        f"{key} on {name}: speedup {arm['speedup']:.2f}x over"
+                        f" the rescan does not clear the {floor:.1f}x floor"
                     )
-                    return np.concatenate(parts), list(labeller.latencies)
-
-            return asyncio.run(run())
-
-        for name in backends:
-            with use_backend(name):
-                wall_s, (labels, latencies) = best_of(repeats, serve_once)
-            if not np.array_equal(labels, reference_result.labels):
-                raise AssertionError(
-                    f"served labels differ from MrCC.fit labels under the "
-                    f"{name} backend"
-                )
-            row["backends"][name] = {
-                "wall_seconds": wall_s,
-                "points_per_second": eta / wall_s,
-                "latency_s": latency_quantiles(latencies),
-                "labels_match_fit": True,
-            }
-    return row
-
-
-def merge_serve_workloads(output: Path, serve_rows: dict[str, dict]) -> dict:
-    """Update only the ``serve/`` workload keys of an existing trajectory.
-
-    The committed ``BENCH_core.json`` holds full-profile numbers for
-    every arm; a serve-only rerun must not clobber them with nothing or
-    with quick-profile values.  Missing file falls back to a minimal
-    payload that carries just the serve rows.
-    """
-    if output.exists():
-        payload = json.loads(output.read_text())
-    else:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "profile": "full",
-            "generated_by": "scripts/perf_baseline.py",
-            "backends": {},
-            "workloads": {},
-        }
-    stale = [
-        key for key in payload["workloads"] if key.startswith("serve/")
-    ]
-    for key in stale:
-        del payload["workloads"][key]
-    payload["workloads"].update(serve_rows)
-    return payload
+            elif workload == "beta_search" and full and name in compiled:
+                ratio = arm["speedup_vs_numpy"]
+                if ratio < BETA_COMPILED_SPEEDUP_FLOOR:
+                    failures.append(
+                        f"{key} on {name}: speedup {ratio:.2f}x over the numpy"
+                        f" backend is below the"
+                        f" {BETA_COMPILED_SPEEDUP_FLOOR:.1f}x floor"
+                    )
+    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="small workloads for CI smoke runs (no 2x gate)",
-    )
-    parser.add_argument(
-        "--only", choices=("serve",), default=None,
-        help="run a single arm and merge its workload keys into the "
-        "existing trajectory instead of rewriting the whole file",
+        help="small workloads for smoke runs (the build need only beat the"
+        " rescan; no compiled-search floor)",
     )
     parser.add_argument(
         "--output", type=Path, default=REPO_ROOT / "BENCH_core.json",
@@ -419,123 +284,41 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.quick:
-        profile = "quick"
-        repeats = 1
+        profile, repeats = "quick", 1
         tree_args = dict(eta=20_000, d=10, h=4, seed=7)
         search_args = dict(eta=8_000, d=8, h=4, seed=11, n_clusters=10)
-        fit_workloads = [dict(eta=8_000, d=8, h=4, seed=13)]
-        serve_args = dict(eta=8_000, d=8, h=4, seed=13)
-        speedup_floor = 1.0
-        beta_floor = None
     else:
-        profile = "full"
-        repeats = 3
-        # The acceptance workloads: H=5, d=15, eta=100k (plus the
-        # production-scale 1M-point fit, timed once per backend).
+        # The acceptance workloads: H=5, d=15, eta=100k.
+        profile, repeats = "full", 3
         tree_args = dict(eta=100_000, d=15, h=5, seed=7)
         search_args = dict(eta=100_000, d=15, h=5, seed=11, n_clusters=40)
-        fit_workloads = [
-            dict(eta=50_000, d=10, h=4, seed=13),
-            dict(
-                eta=1_000_000, d=15, h=5, seed=17, n_clusters=20,
-                repeats=1, reference_repeats=1,
-            ),
-        ]
-        serve_args = dict(eta=50_000, d=10, h=4, seed=13)
-        speedup_floor = TREE_SPEEDUP_FLOOR_FULL
-        beta_floor = BETA_COMPILED_SPEEDUP_FLOOR
 
     backends = collect_backends()
     print("backends:", flush=True)
-    for backend_name, info in backends.items():
+    for name, info in backends.items():
         print(
-            f"  {backend_name:<6} version {info['version']}"
+            f"  {name:<6} version {info['version']}"
             f"  warm-up {info['warmup_seconds']:.3f}s"
         )
-    compiled = [n for n, info in backends.items() if info["compiled"]]
-
-    def run_serve_arm() -> tuple[str, dict]:
-        arm_name = "serve/h{h}_d{d}_eta{eta}".format(**serve_args)
-        print(f"[{arm_name}] ...", flush=True)
-        serve_row = bench_serve(repeats=repeats, backends=backends, **serve_args)
-        print(
-            f"  save {serve_row['save_seconds']:.3f}s"
-            f"  load(mmap) {serve_row['load_mmap_seconds'] * 1e3:.1f}ms"
-            f"  load(copy) {serve_row['load_copy_seconds'] * 1e3:.1f}ms"
-            f"  ({serve_row['model_bytes']} bytes)"
-        )
-        for arm_backend, arm in serve_row["backends"].items():
-            quantiles = arm["latency_s"]
-            print(
-                f"  {arm_backend:<6} {arm['points_per_second']:,.0f} pts/s"
-                f"  p50 {quantiles['p50'] * 1e3:.2f}ms"
-                f"  p99 {quantiles['p99'] * 1e3:.2f}ms"
-            )
-        return arm_name, serve_row
-
-    if args.only == "serve":
-        name, row = run_serve_arm()
-        payload = merge_serve_workloads(args.output, {name: row})
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        args.output.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"merged {name} into {args.output}")
-        return 0
 
     workloads = {}
-    name = "tree_build/h{h}_d{d}_eta{eta}".format(**tree_args)
-    print(f"[{name}] ...", flush=True)
-    workloads[name] = row = bench_tree_build(repeats=repeats, **tree_args)
-    print(
-        f"  aggregated {row['aggregated_seconds']:.3f}s"
-        f"  rescan {row['reference_seconds']:.3f}s"
-        f"  speedup {row['speedup']:.2f}x"
-    )
-    tree_speedup = row["speedup"]
-
-    name = "beta_search/h{h}_d{d}_eta{eta}".format(**search_args)
-    print(f"[{name}] ...", flush=True)
-    workloads[name] = row = bench_beta_search(
-        repeats=repeats, backends=backends, **search_args
-    )
-    print(f"  seed search {row['reference_seconds']:.3f}s")
-    for backend_name, arm in row["backends"].items():
-        print(
-            f"  {backend_name:<6} incremental {arm['incremental_seconds']:.3f}s"
-            f"  speedup {arm['speedup']:.2f}x"
-            f"  vs numpy incremental"
-            f" {arm['speedup_vs_numpy_incremental']:.2f}x"
+    for prefix, bench, bench_args in (
+        ("tree_build", bench_tree_build, tree_args),
+        ("beta_search", bench_beta_search, search_args),
+    ):
+        key = "{}/h{h}_d{d}_eta{eta}".format(prefix, **bench_args)
+        print(f"[{key}] ...", flush=True)
+        workloads[key] = row = bench(
+            repeats=repeats, backends=backends, **bench_args
         )
-    beta_row = row
-
-    for fit_args in fit_workloads:
-        fit_args = dict(fit_args)
-        fit_repeats = fit_args.pop("repeats", repeats)
-        name = "fit/h{h}_d{d}_eta{eta}".format(**fit_args)
-        print(f"[{name}] ...", flush=True)
-        workloads[name] = row = bench_fit(
-            repeats=fit_repeats, backends=backends, **fit_args
-        )
-        print(f"  reference {row['reference_seconds']:.3f}s")
-        for backend_name, arm in row["backends"].items():
+        print(f"  seed reference {row['reference_seconds']:.3f}s")
+        for name, arm in row["backends"].items():
             print(
-                f"  {backend_name:<6} fit {arm['seconds']:.3f}s"
+                f"  {name:<6} {arm['seconds']:.3f}s"
                 f"  speedup {arm['speedup']:.2f}x"
-                f"  labels match: {arm['labels_match_reference']}"
+                f"  vs numpy {arm['speedup_vs_numpy']:.2f}x"
+                f"  matches reference: {arm['matches_reference']}"
             )
-
-    name, row = run_serve_arm()
-    workloads[name] = row
-
-    obs_eta = 10_000 if args.quick else 100_000
-    name = f"obs_overhead/eta{obs_eta}"
-    print(f"[{name}] ...", flush=True)
-    workloads[name] = row = bench_obs_overhead(obs_eta)
-    print(
-        f"  disabled {row['fit_disabled_seconds']:.3f}s"
-        f"  enabled {row['fit_enabled_seconds']:.3f}s"
-        f"  ({row['enabled_relative']:+.2%})"
-        f"  disabled-hook estimate {row['disabled_estimate_relative']:+.4%}"
-    )
 
     payload = {
         "schema": SCHEMA_VERSION,
@@ -548,28 +331,10 @@ def main(argv: list[str] | None = None) -> int:
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
 
-    failed = False
-    if tree_speedup < speedup_floor:
-        print(
-            f"REGRESSION: tree build speedup {tree_speedup:.2f}x is below the"
-            f" {speedup_floor:.1f}x floor",
-            file=sys.stderr,
-        )
-        failed = True
-    if beta_floor is not None and compiled:
-        best = max(
-            beta_row["backends"][n]["speedup_vs_numpy_incremental"]
-            for n in compiled
-        )
-        if best < beta_floor:
-            print(
-                f"REGRESSION: compiled beta-search speedup {best:.2f}x over"
-                f" the numpy incremental path is below the"
-                f" {beta_floor:.1f}x floor",
-                file=sys.stderr,
-            )
-            failed = True
-    return 1 if failed else 0
+    failures = gate_failures(payload)
+    for failure in failures:
+        print(f"REGRESSION: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

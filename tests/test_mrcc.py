@@ -159,3 +159,80 @@ def test_row_permutation_permutes_labels(backend, monkeypatch):
     permuted = MrCC(n_resolutions=5).fit(dataset.points[perm]).labels
     assert len(np.unique(labels)) > 2
     np.testing.assert_array_equal(permuted, labels[perm])
+
+
+@pytest.mark.parametrize(
+    "backend", [name for name in ("numpy", "cext") if name in AVAILABLE]
+)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_axis_permutation_permutes_axes(backend, seed, monkeypatch):
+    """Reordering the axes relabels them and changes nothing else.
+
+    Column ``j`` of ``points[:, perm]`` is axis ``perm[j]`` of
+    ``points``, so each cluster's relevant axes map through ``perm``
+    and each β-cluster's bounds are the original bounds at ``perm``.
+    """
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    dataset = generate_dataset(
+        SyntheticDatasetSpec(
+            dimensionality=8,
+            n_points=6_000,
+            n_clusters=4,
+            noise_fraction=0.15,
+            max_irrelevant=3,
+            seed=seed,
+        )
+    )
+    perm = np.random.default_rng(seed + 100).permutation(8)
+    original = MrCC(n_resolutions=5)
+    permuted = MrCC(n_resolutions=5)
+    labels = original.fit(dataset.points).labels
+    permuted_labels = permuted.fit(dataset.points[:, perm]).labels
+    assert len(np.unique(labels)) > 2
+    np.testing.assert_array_equal(permuted_labels, labels)
+    assert [
+        frozenset(int(perm[j]) for j in axes) for axes in permuted.relevant_axes_
+    ] == original.relevant_axes_
+    assert len(permuted.beta_clusters_) == len(original.beta_clusters_)
+    for ours, theirs in zip(permuted.beta_clusters_, original.beta_clusters_):
+        np.testing.assert_array_equal(ours.lower, theirs.lower[perm])
+        np.testing.assert_array_equal(ours.upper, theirs.upper[perm])
+        np.testing.assert_array_equal(ours.relevant, theirs.relevant[perm])
+
+
+@pytest.mark.parametrize(
+    "backend", [name for name in ("numpy", "cext") if name in AVAILABLE]
+)
+def test_axis_permutation_tie_is_broken_by_key_order(backend, monkeypatch):
+    """Tied pivots are tried in key order, which axis order defines.
+
+    The data is symmetric under swapping axes 0 and 1: cluster A at
+    (0.2, 0.8, …) mirrors cluster B at (0.8, 0.2, …), noise included.
+    Their centre cells tie on every statistic, and the one with the
+    lower key, axis 0 most significant, is found first.  After the swap
+    the other cluster holds that cell, so both fits find the same boxes
+    in the same order and the same partition, but cluster ids 0 and 1
+    trade places (DESIGN §4b).
+    """
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    rng = np.random.default_rng(0)
+    half = np.vstack(
+        [
+            np.array([0.2, 0.8, 0.6, 0.6]) + rng.normal(0, 0.015, (500, 4)),
+            rng.uniform(0, 1, (200, 4)),
+        ]
+    )
+    swap = np.array([1, 0, 2, 3])
+    points = np.clip(np.vstack([half, half[:, swap]]), 0, np.nextafter(1, 0))
+    original = MrCC(normalize=False)
+    swapped = MrCC(normalize=False)
+    labels = original.fit(points).labels
+    swapped_labels = swapped.fit(points[:, swap]).labels
+    assert labels[:500].tolist() == [0] * 500
+    assert labels[700:1200].tolist() == [1] * 500
+    relabel = np.array([1, 0, NOISE_LABEL])  # noise (-1) maps to itself
+    np.testing.assert_array_equal(swapped_labels, relabel[labels])
+    assert len(swapped.beta_clusters_) == len(original.beta_clusters_) == 2
+    for ours, theirs in zip(swapped.beta_clusters_, original.beta_clusters_):
+        np.testing.assert_array_equal(ours.lower, theirs.lower)
+        np.testing.assert_array_equal(ours.upper, theirs.upper)

@@ -1,9 +1,10 @@
 """Equivalence tests for the performance engine.
 
 The fast paths — aggregated Counting-tree construction, the
-incremental β-cluster search, and the parallel experiment runner —
-must be *bit-identical* to the straightforward implementations they
-replaced; these tests pin that contract.
+incremental β-cluster search, the ``MrCC.fit`` pipeline built from them
+and the parallel experiment runner — must be *bit-identical* to the
+straightforward implementations they replaced; these tests pin that
+contract.
 """
 
 import numpy as np
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.beta_cluster import find_beta_clusters, reference_find_beta_clusters
 from repro.core.convolution import overlap_mask, overlap_rows
+from repro.core.correlation_cluster import build_correlation_clusters
 from repro.core.counting_tree import (
     CountingTree,
     aggregate_levels,
@@ -20,6 +23,7 @@ from repro.core.counting_tree import (
     reference_levels,
     tree_from_levels,
 )
+from repro.core.mrcc import MrCC
 from repro.data.synthetic import SyntheticDatasetSpec, generate_dataset
 from repro.experiments.runner import jobs_from_env, run_suite
 
@@ -106,6 +110,26 @@ class TestIncrementalSearchEquivalence:
                 expected = np.flatnonzero(overlap_mask(level, lower, upper))
                 actual = np.sort(overlap_rows(level, lower, upper))
                 np.testing.assert_array_equal(actual, expected)
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_fit_labels_match_reference_pipeline(backend, monkeypatch):
+    # The reference pipeline: seed per-level rescan, seed search and
+    # phase-3 assembly, run on the numpy oracle.
+    points = generate_dataset(
+        SyntheticDatasetSpec(dimensionality=10, n_points=4000, n_clusters=6, seed=13)
+    ).points
+    monkeypatch.setenv("REPRO_BACKEND", "numpy")
+    reference_tree = tree_from_levels(
+        reference_levels(bin_points(points, 4), 4, 10), 10, 4000, 4
+    )
+    reference = build_correlation_clusters(
+        points, reference_find_beta_clusters(reference_tree, 1e-10)
+    )
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    result = MrCC(alpha=1e-10, n_resolutions=4, normalize=False).fit(points)
+    assert result.n_clusters == reference.n_clusters > 1
+    np.testing.assert_array_equal(result.labels, reference.labels)
 
 
 class TestParallelRunnerDeterminism:
