@@ -115,17 +115,6 @@ def clustered_points(
     return np.clip(np.vstack(parts), 0.0, np.nextafter(1.0, 0.0))
 
 
-def best_of(repeats: int, fn):
-    """Minimum wall-clock over ``repeats`` calls, plus the last result."""
-    best = float("inf")
-    value = None
-    for _ in range(repeats):
-        start = perf_clock()
-        value = fn()
-        best = min(best, perf_clock() - start)
-    return best, value
-
-
 def compare_to_reference(
     reference: Callable,
     optimised: Callable,
@@ -135,22 +124,34 @@ def compare_to_reference(
 ) -> tuple[float, object, dict[str, dict]]:
     """Time the seed arm on numpy and the optimised arm on each backend.
 
+    Each repeat runs the seed arm and then every backend's arm, round
+    robin, and each arm keeps its best wall-clock time, so a slow spell
+    of a shared machine falls on all arms alike instead of on one.
     Returns the seed seconds, the seed result and one arm per backend:
     its seconds, its speedup over the seed, its speedup over the numpy
     backend's optimised arm (what compilation alone buys), and whether
     its result equals the seed's.
     """
-    with use_backend("numpy"):
-        reference_s, expected = best_of(repeats, reference)
-    arms: dict[str, dict] = {}
-    for name in backends:
-        with use_backend(name):
-            seconds, value = best_of(repeats, optimised)
-        arms[name] = {
-            "seconds": seconds,
-            "speedup": reference_s / seconds,
-            "matches_reference": bool(same(value, expected)),
+    runs = [("reference", "numpy", reference)] + [
+        (name, name, optimised) for name in backends
+    ]
+    best = {label: float("inf") for label, _, _ in runs}
+    results: dict[str, object] = {}
+    for _ in range(repeats):
+        for label, backend, fn in runs:
+            with use_backend(backend):
+                start = perf_clock()
+                results[label] = fn()
+                best[label] = min(best[label], perf_clock() - start)
+    reference_s, expected = best["reference"], results["reference"]
+    arms: dict[str, dict] = {
+        name: {
+            "seconds": best[name],
+            "speedup": reference_s / best[name],
+            "matches_reference": bool(same(results[name], expected)),
         }
+        for name in backends
+    }
     numpy_s = arms["numpy"]["seconds"]
     for arm in arms.values():
         arm["speedup_vs_numpy"] = numpy_s / arm["seconds"]
@@ -289,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         search_args = dict(eta=8_000, d=8, h=4, seed=11, n_clusters=10)
     else:
         # The acceptance workloads: H=5, d=15, eta=100k.
-        profile, repeats = "full", 3
+        profile, repeats = "full", 5
         tree_args = dict(eta=100_000, d=15, h=5, seed=7)
         search_args = dict(eta=100_000, d=15, h=5, seed=11, n_clusters=40)
 

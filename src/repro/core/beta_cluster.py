@@ -25,6 +25,7 @@ The search loop follows Algorithm 2 literally:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,7 +192,7 @@ def _grow_bounds(
     upper = np.ones(d, dtype=np.float64)
     cell_lower, cell_upper = level.bounds(row)
     side = level.side
-    occupancy = level.n_cells / float((1 << level.h) ** min(d, 62))
+    occupancy = math.ldexp(level.n_cells, -level.h * min(d, 62))
     if occupancy > _DENSE_OCCUPANCY:
         floor = max(1.0, _GROWTH_SHARE * float(level.n[row]))
     else:

@@ -25,7 +25,7 @@ import numpy as np
 from repro import obs
 from repro.core import kernels
 from repro.core.contracts import check_array
-from repro.core.counting_tree import Level
+from repro.core.counting_tree import Level, _field_layout
 from repro.types import BoolArray, FloatArray, IntArray
 
 
@@ -76,9 +76,9 @@ def overlap_rows(
       axis) can never reject a cell, so the per-axis predicate runs
       only over *binding* axes — the handful the MDL cut kept;
     * the sorted-key order is lexicographic, so when axis 0 binds, a
-      ``searchsorted`` over the axis-0 coordinate column bounds the
-      candidate rows to the box's axis-0 cell range (with one cell of
-      slack so the exact closed comparison stays authoritative).
+      ``searchsorted`` over the first packed cell word, whose top field
+      is axis 0, bounds the candidate rows to the box's axis-0 cell
+      range.
     """
     n_coords = 1 << level.h
     cell_lower = np.arange(n_coords, dtype=np.int64) * level.side
@@ -99,10 +99,16 @@ def overlap_rows(
 
     if binding[0]:
         # Axis 0 binds: the key order is lexicographic, so its cells
-        # sit in one contiguous run of the rows.
-        axis0 = level.axis0_in_key_order()
-        start = int(np.searchsorted(axis0, lo[0], side="left"))
-        stop = int(np.searchsorted(axis0, hi[0], side="right"))
+        # sit in one contiguous run of the rows.  Axis 0 is the top
+        # field of the first word; past the grid's last coordinate
+        # ``(hi + 1) << shift`` can reach 2**64, so that run ends at m.
+        first = level.words[:, 0]
+        shift = _field_layout(level.coords.shape[1], level.h)[2][0]
+        start = int(np.searchsorted(first, np.uint64(lo[0]) << shift))
+        if hi[0] == n_coords - 1:
+            stop = level.n_cells
+        else:
+            stop = int(np.searchsorted(first, np.uint64(hi[0] + 1) << shift))
     else:
         start, stop = 0, level.n_cells
     if start >= stop:

@@ -123,6 +123,9 @@ class Level:
     keys:
         ``(m,)`` the packed :func:`void_keys` of ``coords``, sorted —
         the index of every ``searchsorted`` cell lookup.
+    words:
+        ``(m, n_words)`` uint64 packed cell words of ``coords``
+        (:attr:`words`, built on first use and cached).
     """
 
     h: int
@@ -130,7 +133,7 @@ class Level:
     n: IntArray
     half_counts: IntArray
     keys: AnyArray
-    _axis0: IntArray | None = field(default=None, repr=False)
+    _words: AnyArray | None = field(default=None, repr=False)
 
     @classmethod
     def from_key_sorted(
@@ -184,17 +187,21 @@ class Level:
         found = self.keys[rows] == queries
         return np.where(found, rows, -1).astype(np.int64)
 
-    def axis0_in_key_order(self) -> IntArray:
-        """The axis-0 coordinate column, contiguous (cached).
+    @property
+    def words(self) -> AnyArray:
+        """The packed cell words, ``(m, n_words)`` uint64 (cached).
 
-        The key order is lexicographic, so this column is
-        non-decreasing; ``np.searchsorted`` on it bounds the rows whose
-        axis-0 coordinate falls in a range — the index the incremental
-        β-cluster exclusion uses to avoid full-level scans.
+        One ``h``-bit field per axis in the :func:`_field_layout`
+        layout, axis 0 most significant, so the rows' word order
+        (first word most significant) is their key order.  The
+        compiled search kernels compare one or a few words per cell
+        instead of ``d`` coordinates, and axis 0 is the top field of
+        ``words[:, 0]``, so ``np.searchsorted`` on that column bounds
+        the rows of an axis-0 coordinate range.
         """
-        if self._axis0 is None:
-            self._axis0 = np.ascontiguousarray(self.coords[:, 0])
-        return self._axis0
+        if self._words is None:
+            self._words = _pack_words(self.coords, self.h)
+        return self._words
 
     def neighbor_rows(self, row: int, axis: int) -> tuple[int, int]:
         """Rows of the lower/upper face neighbours along ``axis`` (-1 if empty).

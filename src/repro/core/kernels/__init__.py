@@ -11,7 +11,9 @@ interchangeable backends, seven entry points each:
   six-region binomial significance test (``six_region`` and
   ``binom_thetas``) and the β-cluster box-exclusion scan
   (``box_scan``), on the key-ordered
-  :class:`~repro.core.counting_tree.Level` itself;
+  :class:`~repro.core.counting_tree.Level` itself (the cext kernels
+  read its packed cell words, the numpy oracle its void keys and
+  coordinates);
 * the labelling pass that assigns each point its correlation cluster
   (``label_rows``), on the points and the β-boxes flattened in group
   order.

@@ -5,9 +5,11 @@ on ``PATH`` (gcc/cc/clang): the kernel bodies from
 :mod:`repro.core.kernels.loops` are transliterated statement for
 statement into C, compiled once into a content-addressed shared object
 under the system temporary directory, and bound through :mod:`ctypes`.
-Everything about the algorithms — the sorted merge joins, the
-lexicographic binary search, the guard-banded binomial tail — is
-identical to the loops module; only the executor differs.
+Everything about the algorithms — the sorted merge joins and the
+binary search over a level's packed uint64 cell words
+(:attr:`~repro.core.counting_tree.Level.words`), the box test on the
+fields a box binds, the guard-banded binomial tail — is identical to
+the loops module; only the executor differs.
 
 Compilation failures of any kind (no compiler, sandboxed tmpdir,
 unlinkable toolchain) make the backend report itself unavailable with
@@ -115,34 +117,49 @@ void half_counts(const uint64_t *child_words, int64_t m, int64_t n_words,
     }
 }
 
-/* Lexicographic compare of row j against row i with column `axis`
- * shifted by `delta`; early-exits at the first differing column. */
-static int cmp_shifted(const int64_t *coords, int64_t d, int64_t j,
-                       int64_t i, int64_t axis, int64_t delta) {
-    for (int64_t k = 0; k < d; k++) {
-        int64_t b = coords[i * d + k];
-        if (k == axis) b += delta;
-        int64_t a = coords[j * d + k];
-        if (a < b) return -1;
-        if (a > b) return 1;
-    }
-    return 0;
-}
-
 /* One +1 merge per axis settles both deltas: the face-neighbour
- * relation is symmetric, so a match debits both rows at once. */
-void level_responses(const int64_t *coords, const int64_t *counts,
-                     int64_t m, int64_t d, int64_t limit, int64_t *out) {
+ * relation is symmetric, so a match debits both rows at once.  The
+ * probe is row i's words with 1 << shift added to the word holding
+ * the axis's field; rows compare word by word, first word most
+ * significant. */
+void level_responses(const uint64_t *words, const int64_t *counts,
+                     int64_t m, int64_t n_words, int64_t d, int64_t width,
+                     int64_t *out) {
+    int64_t per_word = 64 / width;
+    uint64_t field = ((uint64_t)1 << width) - 1;
     for (int64_t i = 0; i < m; i++) out[i] = 2 * d * counts[i];
+    int64_t w = 0;
+    int64_t last = per_word < d ? per_word : d;
     for (int64_t axis = 0; axis < d; axis++) {
+        if (axis == last) {
+            w += 1;
+            last += per_word;
+            if (last > d) last = d;
+        }
+        int64_t shift = (last - 1 - axis) * width;
+        uint64_t step = (uint64_t)1 << shift;
         int64_t j = 0;
         for (int64_t i = 0; i < m; i++) {
-            int64_t shifted = coords[i * d + axis] + 1;
-            if (shifted > limit) continue;
-            while (j < m && cmp_shifted(coords, d, j, i, axis, 1) < 0)
-                j++;
+            if (((words[i * n_words + w] >> shift) & field) == field) continue;
+            while (j < m) {
+                int comparison = 0;
+                for (int64_t k = 0; k < n_words; k++) {
+                    uint64_t b = words[i * n_words + k];
+                    if (k == w) b += step;
+                    uint64_t a = words[j * n_words + k];
+                    if (a < b) { comparison = -1; break; }
+                    if (a > b) { comparison = 1; break; }
+                }
+                if (comparison < 0) j++; else break;
+            }
             if (j >= m) break;
-            if (cmp_shifted(coords, d, j, i, axis, 1) == 0) {
+            int equal = 1;
+            for (int64_t k = 0; k < n_words; k++) {
+                uint64_t b = words[i * n_words + k];
+                if (k == w) b += step;
+                if (words[j * n_words + k] != b) { equal = 0; break; }
+            }
+            if (equal) {
                 out[i] -= counts[j];
                 out[j] -= counts[i];
             }
@@ -150,17 +167,33 @@ void level_responses(const int64_t *coords, const int64_t *counts,
     }
 }
 
-int64_t box_scan(const int64_t *coords, int64_t m, int64_t d,
-                 const int64_t *lo, const int64_t *hi,
-                 int64_t start, int64_t stop, int64_t *out) {
+/* Only the fields the box binds are unpacked and tested: an axis
+ * whose interval is the whole grid cannot reject a cell. */
+int64_t box_scan(const uint64_t *words, int64_t m, int64_t n_words,
+                 int64_t d, int64_t width, const int64_t *lo,
+                 const int64_t *hi, int64_t start, int64_t stop,
+                 int64_t *out) {
     if (stop > m) stop = m;
     if (start < 0) start = 0;
+    int64_t per_word = 64 / width;
+    int64_t field = ((int64_t)1 << width) - 1;
     int64_t found = 0;
     for (int64_t position = start; position < stop; position++) {
         int inside = 1;
+        int64_t w = 0;
+        int64_t last = per_word < d ? per_word : d;
         for (int64_t axis = 0; axis < d; axis++) {
-            int64_t c = coords[position * d + axis];
-            if (c < lo[axis] || c > hi[axis]) { inside = 0; break; }
+            if (axis == last) {
+                w += 1;
+                last += per_word;
+                if (last > d) last = d;
+            }
+            if (lo[axis] > 0 || hi[axis] < field) {
+                int64_t c = (int64_t)((words[position * n_words + w]
+                                       >> ((last - 1 - axis) * width))
+                                      & (uint64_t)field);
+                if (c < lo[axis] || c > hi[axis]) { inside = 0; break; }
+            }
         }
         if (inside) out[found++] = position;
     }
@@ -189,44 +222,57 @@ void label_rows(const double *points, int64_t n, int64_t d,
     }
 }
 
-/* Lower-bound lexicographic binary search for row `position` with
- * column `axis` replaced by `target`; returns the row index or -1. */
-static int64_t find_shifted(const int64_t *coords, int64_t m, int64_t d,
-                            int64_t position, int64_t axis, int64_t target) {
-    int64_t low = 0, high = m;
-    while (low < high) {
-        int64_t mid = (low + high) / 2;
-        int cmp = 0;
-        for (int64_t k = 0; k < d; k++) {
-            int64_t b = coords[position * d + k];
-            if (k == axis) b = target;
-            int64_t a = coords[mid * d + k];
-            if (a < b) { cmp = -1; break; }
-            if (a > b) { cmp = 1; break; }
-        }
-        if (cmp < 0) low = mid + 1; else high = mid;
-    }
-    if (low >= m) return -1;
-    for (int64_t k = 0; k < d; k++) {
-        int64_t b = coords[position * d + k];
-        if (k == axis) b = target;
-        if (coords[low * d + k] != b) return -1;
-    }
-    return low;
-}
-
-void six_region(const int64_t *coords, const int64_t *counts,
-                const int64_t *half_counts, int64_t m, int64_t d,
-                int64_t limit, int64_t position, const int64_t *bits,
-                int64_t *center, int64_t *total) {
+/* Each face neighbour is the parent's words with the axis's field
+ * replaced by target, found by a lower-bound binary search over the
+ * word rows. */
+void six_region(const uint64_t *words, const int64_t *counts,
+                const int64_t *half_counts, int64_t m, int64_t n_words,
+                int64_t d, int64_t width, int64_t position,
+                const int64_t *bits, int64_t *center, int64_t *total) {
+    int64_t per_word = 64 / width;
+    uint64_t field = ((uint64_t)1 << width) - 1;
     int64_t parent_n = counts[position];
+    int64_t w = 0;
+    int64_t last = per_word < d ? per_word : d;
     for (int64_t axis = 0; axis < d; axis++) {
+        if (axis == last) {
+            w += 1;
+            last += per_word;
+            if (last > d) last = d;
+        }
+        int64_t shift = (last - 1 - axis) * width;
+        int64_t coordinate =
+            (int64_t)((words[position * n_words + w] >> shift) & field);
         int64_t neighbors = 0;
         for (int64_t delta = -1; delta <= 1; delta += 2) {
-            int64_t target = coords[position * d + axis] + delta;
-            if (target < 0 || target > limit) continue;
-            int64_t row = find_shifted(coords, m, d, position, axis, target);
-            if (row >= 0) neighbors += counts[row];
+            int64_t target = coordinate + delta;
+            if (target < 0 || target > (int64_t)field) continue;
+            int64_t low = 0, high = m;
+            while (low < high) {
+                int64_t mid = (low + high) / 2;
+                int comparison = 0;
+                for (int64_t k = 0; k < n_words; k++) {
+                    uint64_t b = words[position * n_words + k];
+                    if (k == w)
+                        b = (b & ~(field << shift))
+                            | ((uint64_t)target << shift);
+                    uint64_t a = words[mid * n_words + k];
+                    if (a < b) { comparison = -1; break; }
+                    if (a > b) { comparison = 1; break; }
+                }
+                if (comparison < 0) low = mid + 1; else high = mid;
+            }
+            if (low < m) {
+                int equal = 1;
+                for (int64_t k = 0; k < n_words; k++) {
+                    uint64_t b = words[position * n_words + k];
+                    if (k == w)
+                        b = (b & ~(field << shift))
+                            | ((uint64_t)target << shift);
+                    if (words[low * n_words + k] != b) { equal = 0; break; }
+                }
+                if (equal) neighbors += counts[low];
+            }
         }
         total[axis] = parent_n + neighbors;
         int64_t half = half_counts[position * d + axis];
@@ -401,12 +447,13 @@ def load() -> dict[str, Any]:
     ]
     lib.level_responses.restype = None
     lib.level_responses.argtypes = [
-        _I64P, _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P,
+        _U64P, _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, _I64P,
     ]
     lib.box_scan.restype = ctypes.c_int64
     lib.box_scan.argtypes = [
-        _I64P, ctypes.c_int64, ctypes.c_int64, _I64P, _I64P,
-        ctypes.c_int64, ctypes.c_int64, _I64P,
+        _U64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, _I64P, _I64P, ctypes.c_int64, ctypes.c_int64, _I64P,
     ]
     lib.label_rows.restype = None
     lib.label_rows.argtypes = [
@@ -415,8 +462,8 @@ def load() -> dict[str, Any]:
     ]
     lib.six_region.restype = None
     lib.six_region.argtypes = [
-        _I64P, _I64P, _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int64, _I64P, _I64P, _I64P,
+        _U64P, _I64P, _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _I64P,
     ]
     lib.binom_thetas.restype = None
     lib.binom_thetas.argtypes = [
@@ -480,25 +527,26 @@ def load() -> dict[str, Any]:
         return out
 
     def level_responses(level: Level) -> IntArray:
-        m, d = level.coords.shape
+        m, n_words = level.words.shape
         out = np.empty(m, dtype=np.int64)
         lib.level_responses(
-            np.ascontiguousarray(level.coords, dtype=np.int64),
+            np.ascontiguousarray(level.words, dtype=np.uint64),
             np.ascontiguousarray(level.n, dtype=np.int64),
-            m, d, (1 << level.h) - 1, out,
+            m, n_words, level.coords.shape[1], level.h, out,
         )
         return out
 
     def box_scan(
         level: Level, lo: IntArray, hi: IntArray, start: int, stop: int
     ) -> IntArray:
-        m, d = level.coords.shape
+        m, n_words = level.words.shape
         span = max(0, min(stop, m) - max(start, 0))
         out = np.empty(span, dtype=np.int64)
         if span == 0:
             return out
         found = lib.box_scan(
-            np.ascontiguousarray(level.coords, dtype=np.int64), m, d,
+            np.ascontiguousarray(level.words, dtype=np.uint64), m, n_words,
+            level.coords.shape[1], level.h,
             np.ascontiguousarray(lo, dtype=np.int64),
             np.ascontiguousarray(hi, dtype=np.int64),
             start, stop, out,
@@ -530,14 +578,15 @@ def load() -> dict[str, Any]:
     def six_region(
         level: Level, row: int, bits: IntArray
     ) -> tuple[IntArray, IntArray]:
-        m, d = level.coords.shape
+        m, n_words = level.words.shape
+        d = level.coords.shape[1]
         center = np.empty(d, dtype=np.int64)
         total = np.empty(d, dtype=np.int64)
         lib.six_region(
-            np.ascontiguousarray(level.coords, dtype=np.int64),
+            np.ascontiguousarray(level.words, dtype=np.uint64),
             np.ascontiguousarray(level.n, dtype=np.int64),
             np.ascontiguousarray(level.half_counts, dtype=np.int64),
-            m, d, (1 << level.h) - 1,
+            m, n_words, d, level.h,
             row, np.ascontiguousarray(bits, dtype=np.int64),
             center, total,
         )

@@ -17,11 +17,16 @@ Five structural facts the kernels exploit:
   significant, so a row is binned and packed in one pass over its
   axes, and a child's parity along every axis is the lowest bit of
   its field (see :func:`cell_words` and :func:`half_counts`);
-* level rows arrive in lexicographic key order, so shifting one
-  coordinate column by ±1 preserves the order — face-neighbour joins
-  are linear merges, not per-probe binary searches;
+* a level's rows arrive in key order and its packed cell words
+  (``h``-bit fields, axis 0 most significant) compare in that same
+  order, one word at a time; adding ``1 << shift`` to one field moves
+  a cell one step along that axis and keeps the order, so
+  face-neighbour joins are linear merges over one or a few uint64
+  words per cell, not per-probe binary searches over ``d`` columns
+  (see :func:`level_responses`);
 * a β-cluster box admits, per axis, one contiguous integer coordinate
-  interval ``[lo, hi]``, so the exclusion scan is a flat interval test;
+  interval ``[lo, hi]``, so the exclusion scan is a flat interval test
+  on the fields the box binds;
 * the binomial tail ``P(X > t)`` is a monotone function of ``t``, so
   the critical value is a binary search over stable log-space tail
   sums, with a relative guard band that routes borderline cases back
@@ -152,37 +157,51 @@ def half_counts(
     return out
 
 
-def level_responses(coords: IntArray, counts: IntArray, limit: int) -> IntArray:
+def level_responses(words: AnyArray, counts: IntArray, d: int, width: int) -> IntArray:
     """Laplacian face-mask response of every cell, in key order.
 
     ``response(c) = 2d·n(c) − Σ_j [n(c−e_j) + n(c+e_j)]`` with empty or
-    out-of-grid neighbours contributing zero.  The probe rows
-    (coordinates shifted by ``+1`` along ``axis``) are themselves in
-    key order, so one forward merge against the cell rows resolves all
-    neighbour lookups in ``O(m·d)`` comparisons — and the face-neighbour
-    relation is symmetric (``j = i + e_axis`` implies ``i = j −
-    e_axis``), so that single ``+1`` merge per axis settles both
-    deltas: each match debits ``counts[j]`` from ``responses[i]`` and
-    ``counts[i]`` from ``responses[j]``.
+    out-of-grid neighbours contributing zero.  ``words`` are the
+    level's packed cell words (``width``-bit fields, axis 0 most
+    significant).  The probe of row ``i`` along ``axis`` is its words
+    with ``1 << shift`` added to the word holding that axis's field —
+    the cell one step up that axis, skipped when the field is already
+    ``2^width − 1`` — and the probes are themselves in key order, so
+    one forward merge against the cell rows resolves all neighbour
+    lookups in ``O(m·n_words)`` word compares per axis.  The
+    face-neighbour relation is symmetric (``j = i + e_axis`` implies
+    ``i = j − e_axis``), so that single ``+1`` merge per axis settles
+    both deltas: each match debits ``counts[j]`` from ``responses[i]``
+    and ``counts[i]`` from ``responses[j]``.
     """
-    m, d = coords.shape
+    m, n_words = words.shape
+    per_word = 64 // width
+    field = (1 << width) - 1
     responses = np.empty(m, dtype=np.int64)
     for i in range(m):
         responses[i] = 2 * d * counts[i]
+    w = 0
+    last = per_word if per_word < d else d
     for axis in range(d):
+        if axis == last:
+            w += 1
+            last += per_word
+            if last > d:
+                last = d
+        shift = (last - 1 - axis) * width
+        step = 1 << shift
         j = 0
         for i in range(m):
-            shifted = coords[i, axis] + 1
-            if shifted > limit:
+            if (int(words[i, w]) >> shift) & field == field:
                 continue
             # Advance the candidate cursor while row_j < probe_i.
             while j < m:
                 comparison = 0
-                for k in range(d):
-                    b = coords[i, k]
-                    if k == axis:
-                        b = shifted
-                    a = coords[j, k]
+                for k in range(n_words):
+                    b = int(words[i, k])
+                    if k == w:
+                        b += step
+                    a = int(words[j, k])
                     if a < b:
                         comparison = -1
                         break
@@ -196,11 +215,11 @@ def level_responses(coords: IntArray, counts: IntArray, limit: int) -> IntArray:
             if j >= m:
                 break
             equal = True
-            for k in range(d):
-                b = coords[i, k]
-                if k == axis:
-                    b = shifted
-                if coords[j, k] != b:
+            for k in range(n_words):
+                b = int(words[i, k])
+                if k == w:
+                    b += step
+                if int(words[j, k]) != b:
                     equal = False
                     break
             if equal:
@@ -210,29 +229,46 @@ def level_responses(coords: IntArray, counts: IntArray, limit: int) -> IntArray:
 
 
 def box_scan(
-    coords: IntArray, lo: IntArray, hi: IntArray, start: int, stop: int
+    words: AnyArray,
+    d: int,
+    width: int,
+    lo: IntArray,
+    hi: IntArray,
+    start: int,
+    stop: int,
 ) -> IntArray:
     """Positions in ``[start, stop)`` whose cell lies inside the box.
 
     ``lo``/``hi`` are the per-axis closed integer coordinate intervals
-    of one β-cluster box (non-binding axes span the whole grid); the
-    caller has already bounded the candidate range over axis 0 via the
-    key order.
+    of one β-cluster box; an axis whose interval is the whole grid
+    ``[0, 2^width − 1]`` cannot reject a cell, so only the fields the
+    box binds are unpacked from ``words`` and tested.  The caller has
+    already bounded the candidate range over axis 0 via the key order.
     """
-    m, d = coords.shape
+    m, n_words = words.shape
     if stop > m:
         stop = m
     if start < 0:
         start = 0
+    per_word = 64 // width
+    field = (1 << width) - 1
     out = np.empty(stop - start if stop > start else 0, dtype=np.int64)
     found = 0
     for position in range(start, stop):
         inside = True
+        w = 0
+        last = per_word if per_word < d else d
         for axis in range(d):
-            c = coords[position, axis]
-            if c < lo[axis] or c > hi[axis]:
-                inside = False
-                break
+            if axis == last:
+                w += 1
+                last += per_word
+                if last > d:
+                    last = d
+            if lo[axis] > 0 or hi[axis] < field:
+                c = (int(words[position, w]) >> ((last - 1 - axis) * width)) & field
+                if c < lo[axis] or c > hi[axis]:
+                    inside = False
+                    break
         if inside:
             out[found] = position
             found += 1
@@ -273,41 +309,54 @@ def label_rows(
 
 
 def six_region(
-    coords: IntArray,
+    words: AnyArray,
     counts: IntArray,
     half_counts: IntArray,
+    d: int,
+    width: int,
     position: int,
     bits: IntArray,
-    limit: int,
 ) -> tuple[IntArray, IntArray]:
     """Six-region counts ``(cP_j, nP_j)`` around one parent cell.
 
     ``position`` indexes the pivot's *parent* cell in the parent
-    level's key-ordered buffers; ``bits`` is the pivot's ``loc`` bit
-    per axis.  Face neighbours are resolved with a lexicographic
-    binary search over the coordinate rows (log m row compares, each
-    early-exiting at the first differing column).
+    level's key-ordered packed ``words``; ``bits`` is the pivot's
+    ``loc`` bit per axis.  Each face neighbour's words are the
+    parent's with one field replaced, resolved with a lower-bound
+    binary search over the word rows (log m row compares of at most
+    ``n_words`` words, early-exiting at the first differing word).
     """
-    m, d = coords.shape
+    m, n_words = words.shape
+    per_word = 64 // width
+    field = (1 << width) - 1
     center = np.empty(d, dtype=np.int64)
     total = np.empty(d, dtype=np.int64)
     parent_n = counts[position]
+    w = 0
+    last = per_word if per_word < d else d
     for axis in range(d):
+        if axis == last:
+            w += 1
+            last += per_word
+            if last > d:
+                last = d
+        shift = (last - 1 - axis) * width
+        coordinate = (int(words[position, w]) >> shift) & field
         neighbors = 0
         for delta in (-1, 1):
-            target = coords[position, axis] + delta
-            if target < 0 or target > limit:
+            target = coordinate + delta
+            if target < 0 or target > field:
                 continue
             low = 0
             high = m
             while low < high:
                 mid = (low + high) // 2
                 comparison = 0
-                for k in range(d):
-                    b = coords[position, k]
-                    if k == axis:
-                        b = target
-                    a = coords[mid, k]
+                for k in range(n_words):
+                    b = int(words[position, k])
+                    if k == w:
+                        b = (b & ~(field << shift)) | (target << shift)
+                    a = int(words[mid, k])
                     if a < b:
                         comparison = -1
                         break
@@ -320,11 +369,11 @@ def six_region(
                     high = mid
             if low < m:
                 equal = True
-                for k in range(d):
-                    b = coords[position, k]
-                    if k == axis:
-                        b = target
-                    if coords[low, k] != b:
+                for k in range(n_words):
+                    b = int(words[position, k])
+                    if k == w:
+                        b = (b & ~(field << shift)) | (target << shift)
+                    if int(words[low, k]) != b:
                         equal = False
                         break
                 if equal:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import kernels
-from repro.core.beta_cluster import BetaCluster, find_beta_clusters
+from repro.core.beta_cluster import BetaCluster, _grow_bounds, find_beta_clusters
 from repro.core.counting_tree import CountingTree
 from repro.core.mrcc import MrCC
 from repro.serve import load_model, save_model
@@ -133,6 +133,17 @@ class TestFindBetaClusters:
         others = [j for j in range(points.shape[1]) if j not in beta.relevant_axes]
         if planted and others:
             assert beta.relevances[planted].min() > beta.relevances[others].max()
+
+
+class TestGrowBounds:
+    def test_fine_level_of_a_wide_tree_does_not_overflow(self):
+        # h * min(d, 62) = 27 * 40 >= 1024, where the grid size
+        # (2**h)**d overflows a float; the occupancy is still ~0.
+        rng = np.random.default_rng(0)
+        tree = CountingTree(rng.random((200, 40)), n_resolutions=28)
+        lower, upper = _grow_bounds(tree, 27, 0, np.ones(40, bool))
+        cell_lower, cell_upper = tree.level(27).bounds(0)
+        assert np.all(lower <= cell_lower) and np.all(upper >= cell_upper)
 
 
 def _same_betas(left, right):

@@ -11,6 +11,7 @@ from repro.core.kernels import available_backends, get_backend
 from repro.core.counting_tree import (
     CountingTree,
     _field_layout,
+    _unpack_words,
     aggregate_levels,
     merge_level_arrays,
     reference_levels,
@@ -148,6 +149,30 @@ class TestNeighborsAndBounds:
             assert np.array_equal(
                 tree.level(1).coords[parent], level2.coords[row] >> 1
             )
+
+
+class TestLevelWords:
+    """The cached packed words: the level's cells, in key order."""
+
+    # (d, H): one word per level; two words at the finer levels; up to
+    # twenty words (two 31-bit fields a word) at level 31.
+    @pytest.mark.parametrize("d, H", [(3, 4), (20, 6), (40, 32)])
+    def test_words_unpack_to_coords_in_strict_key_order(self, d, H):
+        rng = np.random.default_rng(d)
+        tree = _tree(rng.random((300, d)), H=H)
+        for h in tree.levels:
+            level = tree.level(h)
+            words = level.words
+            assert words is level.words
+            assert words.dtype == np.uint64
+            assert words.shape == (level.n_cells, _field_layout(d, h)[0])
+            np.testing.assert_array_equal(_unpack_words(words, d, h), level.coords)
+            # Each row exceeds the previous at its first differing word.
+            differ = words[1:] != words[:-1]
+            assert np.all(differ.any(axis=1)), h
+            first = np.argmax(differ, axis=1)
+            rows = np.arange(first.shape[0])
+            assert np.all(words[1:][rows, first] > words[:-1][rows, first]), h
 
 
 class TestVoidKeys:

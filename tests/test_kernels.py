@@ -60,11 +60,15 @@ class _LoopsAdapter:
 
     @staticmethod
     def level_responses(level):
-        return loops.level_responses(level.coords, level.n, _limit(level))
+        return loops.level_responses(
+            level.words, level.n, level.coords.shape[1], level.h
+        )
 
     @staticmethod
     def box_scan(level, lo, hi, start, stop):
-        return loops.box_scan(level.coords, lo, hi, start, stop)
+        return loops.box_scan(
+            level.words, level.coords.shape[1], level.h, lo, hi, start, stop
+        )
 
     @staticmethod
     def label_rows(points, lower, upper, box_group):
@@ -73,7 +77,8 @@ class _LoopsAdapter:
     @staticmethod
     def six_region(level, row, bits):
         return loops.six_region(
-            level.coords, level.n, level.half_counts, row, bits, _limit(level)
+            level.words, level.n, level.half_counts, level.coords.shape[1],
+            level.h, row, bits,
         )
 
     @staticmethod
@@ -88,25 +93,78 @@ def implementation(name):
     return _LoopsAdapter if name == "loops" else kernels.get_backend(name)
 
 
-@st.composite
-def level_views(draw):
-    """A random key-sorted :class:`Level` (unique cells, valid halves)."""
-    seed = draw(st.integers(0, 10_000))
-    d = draw(st.integers(1, 6))
-    h = draw(st.integers(1, 5))
-    m = draw(st.integers(1, 60))
+def walk_level(seed, d, h, m):
+    """A key-sorted :class:`Level` of at most ``m`` cells at level ``h``.
+
+    The cells are a random walk of face steps inside a window of four
+    coordinates per axis, so face neighbours are common at every ``h``;
+    each axis's window sits at coordinate 0, at the last coordinate
+    ``2**h - 1`` or anywhere between.  Counts and half-space counts are
+    random but valid.
+    """
     rng = np.random.default_rng(seed)
     limit = (1 << h) - 1
+    span = min(limit, 3)
+    edge = rng.integers(0, 3, size=d)
+    low = np.where(edge == 1, limit - span, 0).astype(np.int64)
+    middle = edge == 2
+    low[middle] = rng.integers(0, limit - span + 1, size=int(middle.sum()))
+    rows = [low + rng.integers(0, span + 1, size=d)]
+    for _ in range(m - 1):
+        if rng.random() < 0.2:
+            rows.append(low + rng.integers(0, span + 1, size=d))
+            continue
+        step = rows[int(rng.integers(0, len(rows)))].copy()
+        axis = int(rng.integers(0, d))
+        step[axis] = np.clip(step[axis] + rng.choice([-1, 1]), 0, limit)
+        rows.append(step)
     # np.unique(axis=0) sorts rows lexicographically, which coincides
     # with the big-endian void-key order the kernels require.
-    coords = np.unique(
-        rng.integers(0, limit + 1, size=(m, d), dtype=np.int64), axis=0
-    )
+    coords = np.unique(np.array(rows, dtype=np.int64), axis=0)
     counts = rng.integers(1, 50, size=coords.shape[0]).astype(np.int64)
     half_counts = rng.integers(
         0, counts[:, None] + 1, size=(coords.shape[0], d)
     ).astype(np.int64)
     return Level.from_key_sorted(h, coords, counts, half_counts)
+
+
+@st.composite
+def level_views(draw):
+    """A :func:`walk_level` with ``d`` up to 40 and ``h`` up to 31.
+
+    The ``h``-bit word layout then spans one word, two, or up to
+    twenty (two axes a word at ``h >= 22``).
+    """
+    return walk_level(
+        draw(st.integers(0, 10_000)),
+        draw(st.integers(1, 40)),
+        draw(st.integers(1, 31)),
+        draw(st.integers(1, 40)),
+    )
+
+
+# Explicit levels for every kernel test: one axis at h = 31; two words
+# (h = 4, 16 axes a word); three words reaching the last coordinate;
+# and most of a coarse 4x4x4 grid, where a probe past an axis's last
+# coordinate would carry into the next field and hit an occupied cell.
+ONE_AXIS_LEVEL = walk_level(1, 1, 31, 30)
+TWO_WORD_LEVEL = walk_level(2, 20, 4, 40)
+THREE_WORD_LEVEL = walk_level(3, 40, 5, 40)
+DENSE_LEVEL = walk_level(4, 3, 2, 60)
+
+
+def test_explicit_levels_cover_word_layouts():
+    assert ONE_AXIS_LEVEL.coords.shape[1] == 1
+    assert ONE_AXIS_LEVEL.words.shape[1] == 1
+    assert TWO_WORD_LEVEL.words.shape[1] == 2
+    assert THREE_WORD_LEVEL.words.shape[1] >= 3
+    assert DENSE_LEVEL.n_cells > 16
+    levels = (ONE_AXIS_LEVEL, TWO_WORD_LEVEL, THREE_WORD_LEVEL, DENSE_LEVEL)
+    for level in levels:
+        assert int(level.coords.max()) == _limit(level)
+        # Face neighbours exist, so the merges and searches match rows.
+        isolated = 2 * level.coords.shape[1] * level.n
+        assert np.any(reference.level_responses(level) < isolated)
 
 
 @st.composite
@@ -386,6 +444,10 @@ class TestKernelEquivalence:
     """Each kernel, every implementation, against the numpy oracle."""
 
     @given(level=level_views())
+    @example(level=ONE_AXIS_LEVEL)
+    @example(level=TWO_WORD_LEVEL)
+    @example(level=THREE_WORD_LEVEL)
+    @example(level=DENSE_LEVEL)
     @settings(max_examples=40, deadline=None)
     def test_level_responses_bit_identical(self, name, level):
         impl = implementation(name)
@@ -393,16 +455,28 @@ class TestKernelEquivalence:
             impl.level_responses(level), reference.level_responses(level)
         )
 
-    @given(level=level_views(), data=st.data())
+    @given(level=level_views(), seed=st.integers(0, 10_000))
+    @example(level=ONE_AXIS_LEVEL, seed=0)
+    @example(level=TWO_WORD_LEVEL, seed=1)
+    @example(level=THREE_WORD_LEVEL, seed=2)
+    @example(level=DENSE_LEVEL, seed=3)
     @settings(max_examples=40, deadline=None)
-    def test_box_scan_bit_identical(self, name, level, data):
+    def test_box_scan_bit_identical(self, name, level, seed):
         impl = implementation(name)
         d, m, limit = level.coords.shape[1], level.n_cells, _limit(level)
-        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
-        lo = rng.integers(0, limit + 1, size=d).astype(np.int64)
-        hi = np.minimum(
-            lo + rng.integers(0, limit + 1, size=d), limit
-        ).astype(np.int64)
+        rng = np.random.default_rng(seed)
+        # A box around one cell: per axis the whole grid (the box does
+        # not bind) or an interval of up to three coordinates holding
+        # the cell's; one axis may then move off the cell, so the scan
+        # both keeps and rejects cells on binding axes in every word.
+        anchor = level.coords[rng.integers(0, m)]
+        lo = np.maximum(anchor - rng.integers(0, 2, size=d), 0)
+        hi = np.minimum(anchor + rng.integers(0, 2, size=d), limit)
+        free = rng.random(d) < 0.4
+        lo[free], hi[free] = 0, limit
+        moved = int(rng.integers(0, d))
+        lo[moved] = np.clip(anchor[moved] + rng.integers(-2, 3), 0, limit)
+        hi[moved] = min(lo[moved] + int(rng.integers(0, 2)), limit)
         start = int(rng.integers(0, m + 1))
         stop = int(rng.integers(start, m + 1))
         np.testing.assert_array_equal(
@@ -410,14 +484,17 @@ class TestKernelEquivalence:
             reference.box_scan(level, lo, hi, start, stop),
         )
 
-    @given(level=level_views(), data=st.data())
+    @given(level=level_views(), seed=st.integers(0, 10_000))
+    @example(level=ONE_AXIS_LEVEL, seed=0)
+    @example(level=TWO_WORD_LEVEL, seed=1)
+    @example(level=THREE_WORD_LEVEL, seed=2)
+    @example(level=DENSE_LEVEL, seed=3)
     @settings(max_examples=40, deadline=None)
-    def test_six_region_bit_identical(self, name, level, data):
+    def test_six_region_bit_identical(self, name, level, seed):
         impl = implementation(name)
-        d = level.coords.shape[1]
-        row = data.draw(st.integers(0, level.n_cells - 1))
-        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
-        bits = rng.integers(0, 2, size=d).astype(np.int64)
+        rng = np.random.default_rng(seed)
+        row = int(rng.integers(0, level.n_cells))
+        bits = rng.integers(0, 2, size=level.coords.shape[1]).astype(np.int64)
         center, total = impl.six_region(level, row, bits)
         ref_center, ref_total = reference.six_region(level, row, bits)
         np.testing.assert_array_equal(center, ref_center)
@@ -605,6 +682,37 @@ class TestCrossBackendPipeline:
         result = MrCC(normalize=False).fit(dataset.points)
         assert result.n_clusters == oracle.n_clusters
         np.testing.assert_array_equal(result.labels, oracle.labels)
+
+    def test_three_word_levels_identical(self, name, monkeypatch):
+        # At d = 40 and H = 5, level 4 packs 16 axes a word: three words.
+        points = generate_dataset(
+            SyntheticDatasetSpec(
+                dimensionality=40,
+                n_points=6_000,
+                n_clusters=3,
+                noise_fraction=0.05,
+                max_cluster_dim=40,
+                seed=31,
+            )
+        ).points
+
+        def search_and_fit(backend):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            tree = CountingTree(points, n_resolutions=5)
+            assert tree.level(4).words.shape[1] == 3
+            betas = find_beta_clusters(tree, alpha=1e-10)
+            result = MrCC(n_resolutions=5, normalize=False).fit(points)
+            return betas, result.labels
+
+        oracle, oracle_labels = search_and_fit("numpy")
+        betas, labels = search_and_fit(name)
+        assert oracle
+        assert len(betas) == len(oracle)
+        for ours, expected in zip(betas, oracle):
+            np.testing.assert_array_equal(ours.lower, expected.lower)
+            np.testing.assert_array_equal(ours.upper, expected.upper)
+            np.testing.assert_array_equal(ours.relevant, expected.relevant)
+        np.testing.assert_array_equal(labels, oracle_labels)
 
     def test_trace_counters_invariant_under_backend(
         self, name, dataset, monkeypatch
