@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from repro.core import beta_cluster as beta_cluster_module
+from repro.core import mrcc as mrcc_module
 from repro.core.convolution import level_responses
 from repro.core.counting_tree import CountingTree
 from repro.core.mrcc import MrCC
@@ -60,16 +61,30 @@ def _dataset(d, seed=5):
 
 
 def test_ablation_mask_quality(monkeypatch, benchmark):
-    """Full mask buys at most a marginal Quality change on 8 axes."""
+    """Full mask buys at most a marginal Quality change on 8 axes.
+
+    The pruned search of ``find_beta_clusters`` relies on the face-mask
+    bound ``response <= 2d·n``, which the full mask breaks (its centre
+    weighs ``3^d - 1``), so the full-mask arm runs the unpruned seed
+    search, ``reference_find_beta_clusters``, which convolves every cell.
+    """
     dataset = _dataset(8)
+    full_mask_levels = []
+
+    def counted_full_mask(level):
+        full_mask_levels.append(level.h)
+        return full_mask_responses(level)
+
+    def unpruned_search(tree, alpha, max_beta_clusters=None):
+        assert max_beta_clusters is None
+        return beta_cluster_module.reference_find_beta_clusters(tree, alpha)
 
     def run_both():
         face = MrCC(normalize=False).fit(dataset.points)
-        monkeypatch.setattr(
-            beta_cluster_module, "level_responses", full_mask_responses
-        )
-        full = MrCC(normalize=False).fit(dataset.points)
-        monkeypatch.setattr(beta_cluster_module, "level_responses", level_responses)
+        with monkeypatch.context() as patch:
+            patch.setattr(beta_cluster_module, "level_responses", counted_full_mask)
+            patch.setattr(mrcc_module, "find_beta_clusters", unpruned_search)
+            full = MrCC(normalize=False).fit(dataset.points)
         return face, full
 
     face, full = benchmark.pedantic(run_both, rounds=1, iterations=1)
@@ -79,6 +94,8 @@ def test_ablation_mask_quality(monkeypatch, benchmark):
         "ablation_mask_quality",
         f"face-only mask Quality: {q_face:.3f}\nfull 3^d mask Quality: {q_full:.3f}",
     )
+    # Without this the full-mask arm could silently measure the face mask.
+    assert full_mask_levels, "the full-mask arm computed no full-mask response"
     assert abs(q_face - q_full) < 0.25
 
 

@@ -7,9 +7,10 @@ boolean relevance vector (``V``).
 
 The search loop follows Algorithm 2 literally:
 
-* starting from level 2 (coarse) down to ``H-1`` (fine), convolve the
-  Laplacian face mask over all cells not yet used and not overlapping a
-  previously found β-cluster;
+* starting from level 2 (coarse) down to ``H-1`` (fine), take the cell
+  with the largest Laplacian face-mask response among the cells not yet
+  used and not overlapping a previously found β-cluster — evaluating
+  only the responses whose bound ``2d·n`` can still win;
 * the per-level winner is marked used (whether or not it passes the
   test) — the paper's ``usedCell``, kept here in the search's own state
   so the Counting-tree stays a read-only index and repeated searches
@@ -38,13 +39,13 @@ from repro.core.convolution import (
     overlap_mask,
     overlap_rows,
 )
-from repro.core.counting_tree import CountingTree
+from repro.core.counting_tree import CountingTree, Level
 from repro.core.hypothesis_test import (
     neighborhood_counts,
     significant_axes,
 )
 from repro.core.mdl import mdl_cut_threshold
-from repro.types import BoolArray, FloatArray, IntArray
+from repro.types import BoolArray, FloatArray
 
 
 @dataclass(frozen=True)
@@ -86,21 +87,92 @@ class BetaCluster:
         )
 
 
+_FIRST_BLOCK = 1024
+"""Cells in the first block of responses a level evaluates; each later
+block of the same level is twice the size of the one before."""
+
+
+class _LevelSearch:
+    """One level's best untaken cell, evaluating as few responses as it can.
+
+    The face mask weighs the centre ``2d`` and each face neighbour
+    ``-1``, and counts are never negative, so ``response(c) <= 2d·n(c)``.
+    Cells are evaluated in bound order ``(-n, row)``, in blocks whose
+    size doubles, and the exact responses found so far are kept ranked
+    by ``(-response, row)`` with a cursor that only moves forward past
+    rows that became taken — responses are static for a fixed tree, and
+    a taken cell stays taken.  The best untaken evaluated cell
+    ``(r*, row*)`` is the level's masked argmax once it beats the bound
+    of the next unevaluated cell ``u``: ``r* > 2d·n(u)``, or
+    ``r* == 2d·n(u)`` and ``row* < u`` — every later cell has a lower
+    bound, or the same bound and a higher row, so the lowest-row tie
+    rule of :func:`~repro.core.convolution.convolve_level` still holds.
+    """
+
+    def __init__(self, level: Level) -> None:
+        self.level = level
+        self.bounds = (2 * level.coords.shape[1]) * level.n.astype(np.int64)
+        # A stable sort of -n ranks equal counts by row: (-n, row).
+        self.order = np.argsort(-self.bounds, kind="stable")
+        self.responses = np.zeros(level.n_cells, dtype=np.int64)
+        self.evaluated = 0
+        self.block = _FIRST_BLOCK
+        self.ranked = np.empty(0, dtype=np.int64)
+        self.cursor = 0
+
+    _ADVANCE_BLOCK = 1024
+
+    def best_row(self, taken: BoolArray) -> int:
+        """Row of the best untaken cell, or -1 when every cell is taken."""
+        m = self.order.shape[0]
+        while True:
+            row = self._first_untaken(taken)
+            if self.evaluated == m:
+                return row
+            if row >= 0:
+                u = int(self.order[self.evaluated])
+                best, bound = self.responses[row], self.bounds[u]
+                if best > bound or (best == bound and row < u):
+                    return row
+            self._evaluate_block()
+
+    def _first_untaken(self, taken: BoolArray) -> int:
+        # Skip rows taken since the last pick, a block at a time so the
+        # scan stays vectorised.
+        ranked, cursor = self.ranked, self.cursor
+        k = ranked.shape[0]
+        while cursor < k:
+            block = ranked[cursor : cursor + self._ADVANCE_BLOCK]
+            eligible = np.flatnonzero(~taken[block])
+            if eligible.size:
+                cursor += int(eligible[0])
+                break
+            cursor += block.shape[0]
+        self.cursor = cursor
+        return int(ranked[cursor]) if cursor < k else -1
+
+    def _evaluate_block(self) -> None:
+        start = self.evaluated
+        rows = np.sort(self.order[start : start + self.block])
+        self.responses[rows] = level_responses(self.level, rows)
+        obs.incr(f"search.level{self.level.h}.cells_visited", int(rows.size))
+        self.evaluated += rows.size
+        self.block *= 2
+        pending = np.concatenate((self.ranked[self.cursor :], rows))
+        self.ranked = pending[np.lexsort((pending, -self.responses[pending]))]
+        self.cursor = 0
+
+
 class _SearchState:
     """Per-level caches reused across Algorithm 2's restarts.
 
     The search keeps one *taken* mask per level: the pivots already
     tried (the paper's ``usedCell``) plus the cells under the boxes
-    already found.  Three monotone facts make the search incremental:
-    convolution responses are static for a fixed tree, and a cell once
-    taken stays taken, whether as a tried pivot or as claimed space
-    (one new β-cluster box at a time).  Each level therefore presorts
-    its rows by (response descending, row ascending) once and keeps a
-    cursor that only moves forward past rows that became taken — the
-    row at the cursor is exactly the masked-argmax
+    already found.  Each level's best untaken cell comes from a
+    :class:`_LevelSearch`, which computes only the responses that can
+    still win, so the pick equals the masked argmax
     :func:`~repro.core.convolution.convolve_level` would recompute over
-    the whole level on every restart, including its lowest-row
-    tie-breaking, at amortised O(cells) for the entire search.
+    the whole level on every restart, lowest-row ties included.
     Exclusion updates touch only the rows inside the new box's axis-0
     coordinate range (:func:`~repro.core.convolution.overlap_rows`)
     instead of re-testing every cell of every level per find.
@@ -108,47 +180,27 @@ class _SearchState:
 
     def __init__(self, tree: CountingTree) -> None:
         self.tree = tree
-        self._responses: dict[int, IntArray] = {}
         self._taken: dict[int, BoolArray] = {}
-        self._order: dict[int, IntArray] = {}
-        self._cursor: dict[int, int] = {}
-
-    def responses(self, h: int) -> IntArray:
-        if h not in self._responses:
-            self._responses[h] = level_responses(self.tree.level(h))
-        return self._responses[h]
+        self._levels: dict[int, _LevelSearch] = {}
 
     def taken(self, h: int) -> BoolArray:
         if h not in self._taken:
             self._taken[h] = np.zeros(self.tree.level(h).n_cells, dtype=bool)
         return self._taken[h]
 
-    _ADVANCE_BLOCK = 1024
-
     def best_row(self, h: int) -> int:
         """Best convolution pivot at level ``h``, or -1 when all taken."""
-        if h not in self._order:
-            responses = self.responses(h)
-            m = responses.shape[0]
-            self._order[h] = np.lexsort(
-                (np.arange(m, dtype=np.int64), -responses)
-            )
-            self._cursor[h] = 0
-        order = self._order[h]
-        taken = self.taken(h)
-        cursor = self._cursor[h]
-        m = order.shape[0]
-        # Skip rows taken since the last pick, a block at a time so the
-        # scan stays vectorised.
-        while cursor < m:
-            block = order[cursor : cursor + self._ADVANCE_BLOCK]
-            eligible = np.flatnonzero(~taken[block])
-            if eligible.size:
-                cursor += int(eligible[0])
-                break
-            cursor += block.shape[0]
-        self._cursor[h] = cursor
-        return int(order[cursor]) if cursor < m else -1
+        if h not in self._levels:
+            self._levels[h] = _LevelSearch(self.tree.level(h))
+        return self._levels[h].best_row(self.taken(h))
+
+    def count_bounded(self) -> None:
+        """Count each searched level's cells that were never evaluated."""
+        for h, search in self._levels.items():
+            bounded = search.order.shape[0] - search.evaluated
+            # No zero counts: worker trace deltas drop them (REPRO_JOBS).
+            if bounded:
+                obs.incr(f"convolution.level{h}.bounded", bounded)
 
     def exclude_box(self, beta: BetaCluster) -> None:
         """Mark every cell overlapping the new β-cluster as taken."""
@@ -241,11 +293,13 @@ def find_beta_clusters(
         while True:
             new_cluster = _search_pass(state, alpha)
             if new_cluster is None:
-                return found
+                break
             found.append(new_cluster)
             state.exclude_box(new_cluster)
             if max_beta_clusters is not None and len(found) >= max_beta_clusters:
-                return found
+                break
+        state.count_bounded()
+    return found
 
 
 def _search_pass(state: _SearchState, alpha: float) -> BetaCluster | None:

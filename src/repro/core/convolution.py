@@ -11,11 +11,13 @@ computable in ``O(d)`` per cell instead of the ``O(3^d)`` a full mask
 would need.  Cells outside the grid or not materialised (empty space)
 contribute zero, exactly like zero-padding in image processing.
 
-The responses of a level never change while the tree is fixed, so they
-are computed once per level and cached; the β-cluster search then only
-re-applies its one dynamic mask per level (the cells already taken:
-tried pivots, the paper's ``usedCell``, and the space claimed by
-previous β-clusters).
+The responses of a level never change while the tree is fixed, so each
+is computed at most once; the β-cluster search then only re-applies its
+one dynamic mask per level (the cells already taken: tried pivots, the
+paper's ``usedCell``, and the space claimed by previous β-clusters).
+Counts are never negative, so ``response(c) <= 2d * n(c)``, and the
+search evaluates only the cells whose bound can still win
+(:class:`~repro.core.beta_cluster._LevelSearch`).
 """
 
 from __future__ import annotations
@@ -24,26 +26,36 @@ import numpy as np
 
 from repro import obs
 from repro.core import kernels
-from repro.core.contracts import check_array
+from repro.core.contracts import ContractError, check_array
 from repro.core.counting_tree import Level, _field_layout
 from repro.types import BoolArray, FloatArray, IntArray
 
 
-def level_responses(level: Level) -> IntArray:
-    """Convolved value of every cell at ``level`` (static per tree).
+def level_responses(level: Level, rows: IntArray | None = None) -> IntArray:
+    """Convolved values of the cells at ``rows`` (default: every cell).
 
-    Delegates to the active compute backend
-    (:func:`repro.core.kernels.active_backend`), which reads the
-    key-ordered level directly.  Empty neighbours (unmaterialised space
-    or the grid border) contribute zero, like zero-padding a
-    convolution; every backend is bit-identical here.
+    ``rows`` must be strictly increasing, which is key order; the result
+    holds one response per requested row.  Delegates to the active
+    compute backend (:func:`repro.core.kernels.active_backend`), which
+    reads the key-ordered level directly.  Empty neighbours
+    (unmaterialised space or the grid border) contribute zero, like
+    zero-padding a convolution; every backend is bit-identical here.
     """
-    m = level.n_cells
+    if rows is None:
+        rows = np.arange(level.n_cells, dtype=np.int64)
+    check_array("rows", rows, dtype=np.int64, ndim=1)
+    if rows.size and (
+        rows[0] < 0 or rows[-1] >= level.n_cells or np.any(rows[1:] <= rows[:-1])
+    ):
+        raise ContractError(
+            f"rows must be strictly increasing in [0, {level.n_cells})"
+        )
+    k = int(rows.shape[0])
     obs.incr("convolution.responses")
-    obs.incr("convolution.cells", m)
+    obs.incr("convolution.cells", k)
     obs.incr(f"convolution.level{level.h}.responses")
-    obs.incr(f"search.level{level.h}.cells_visited", m)
-    return kernels.active_backend().level_responses(level)
+    obs.incr(f"convolution.level{level.h}.cells", k)
+    return kernels.active_backend().level_responses(level, rows)
 
 
 def cell_bounds(level: Level) -> tuple[FloatArray, FloatArray]:

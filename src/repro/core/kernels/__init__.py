@@ -110,7 +110,7 @@ class Backend:
     version: str
     cell_words: _CellWordsKernel
     half_counts: _HalfCountsKernel
-    level_responses: Callable[[Level], IntArray]
+    level_responses: Callable[[Level, IntArray], IntArray]
     box_scan: Callable[[Level, IntArray, IntArray, int, int], IntArray]
     label_rows: Callable[[FloatArray, FloatArray, FloatArray, IntArray], IntArray]
     six_region: _SixRegionKernel
@@ -262,7 +262,7 @@ def warm_up(backend: Backend) -> None:
         2,
         2,
     )
-    backend.level_responses(level)
+    backend.level_responses(level, np.array([0, 2], dtype=np.int64))
     backend.box_scan(
         level,
         np.zeros(2, dtype=np.int64),

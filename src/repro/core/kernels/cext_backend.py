@@ -5,8 +5,8 @@ on ``PATH`` (gcc/cc/clang): the kernel bodies from
 :mod:`repro.core.kernels.loops` are transliterated statement for
 statement into C, compiled once into a content-addressed shared object
 under the system temporary directory, and bound through :mod:`ctypes`.
-Everything about the algorithms — the sorted merge joins and the
-binary search over a level's packed uint64 cell words
+Everything about the algorithms — the galloping forward searches and
+the binary search over a level's packed uint64 cell words
 (:attr:`~repro.core.counting_tree.Level.words`), the box test on the
 fields a box binds, the guard-banded binomial tail — is identical to
 the loops module; only the executor differs.
@@ -117,17 +117,21 @@ void half_counts(const uint64_t *child_words, int64_t m, int64_t n_words,
     }
 }
 
-/* One +1 merge per axis settles both deltas: the face-neighbour
- * relation is symmetric, so a match debits both rows at once.  The
- * probe is row i's words with 1 << shift added to the word holding
- * the axis's field; rows compare word by word, first word most
- * significant. */
+/* Responses of a key-ordered subset: row_words/row_counts are the
+ * level's words and counts gathered at the cells to evaluate.  Per axis
+ * and per delta the probes (one field moved by one, skipped at the
+ * field's edge) are sorted, so each is found by galloping forward from
+ * the previous probe's position and binary-searching the last step;
+ * rows compare word by word, first word most significant, and rows are
+ * unique, so a compare that finds the probe equal marks the match. */
 void level_responses(const uint64_t *words, const int64_t *counts,
-                     int64_t m, int64_t n_words, int64_t d, int64_t width,
+                     int64_t m, int64_t n_words,
+                     const uint64_t *row_words, const int64_t *row_counts,
+                     int64_t k_rows, int64_t d, int64_t width,
                      int64_t *out) {
     int64_t per_word = 64 / width;
     uint64_t field = ((uint64_t)1 << width) - 1;
-    for (int64_t i = 0; i < m; i++) out[i] = 2 * d * counts[i];
+    for (int64_t i = 0; i < k_rows; i++) out[i] = 2 * d * row_counts[i];
     int64_t w = 0;
     int64_t last = per_word < d ? per_word : d;
     for (int64_t axis = 0; axis < d; axis++) {
@@ -138,30 +142,46 @@ void level_responses(const uint64_t *words, const int64_t *counts,
         }
         int64_t shift = (last - 1 - axis) * width;
         uint64_t step = (uint64_t)1 << shift;
-        int64_t j = 0;
-        for (int64_t i = 0; i < m; i++) {
-            if (((words[i * n_words + w] >> shift) & field) == field) continue;
-            while (j < m) {
-                int comparison = 0;
-                for (int64_t k = 0; k < n_words; k++) {
-                    uint64_t b = words[i * n_words + k];
-                    if (k == w) b += step;
-                    uint64_t a = words[j * n_words + k];
-                    if (a < b) { comparison = -1; break; }
-                    if (a > b) { comparison = 1; break; }
+        for (int64_t delta = 1; delta >= -1; delta -= 2) {
+            uint64_t edge = delta > 0 ? field : 0;
+            int64_t j = 0;
+            for (int64_t i = 0; i < k_rows; i++) {
+                if (((row_words[i * n_words + w] >> shift) & field) == edge)
+                    continue;
+                int64_t low = j, high = j, span = 1;
+                int hit = 0;
+                while (high < m) {
+                    int comparison = 0;
+                    for (int64_t k = 0; k < n_words; k++) {
+                        uint64_t b = row_words[i * n_words + k];
+                        if (k == w) b = delta > 0 ? b + step : b - step;
+                        uint64_t a = words[high * n_words + k];
+                        if (a < b) { comparison = -1; break; }
+                        if (a > b) { comparison = 1; break; }
+                    }
+                    if (comparison == 0) { hit = 1; low = high; }
+                    if (comparison >= 0) break;
+                    low = high + 1;
+                    high += span;
+                    span *= 2;
                 }
-                if (comparison < 0) j++; else break;
-            }
-            if (j >= m) break;
-            int equal = 1;
-            for (int64_t k = 0; k < n_words; k++) {
-                uint64_t b = words[i * n_words + k];
-                if (k == w) b += step;
-                if (words[j * n_words + k] != b) { equal = 0; break; }
-            }
-            if (equal) {
-                out[i] -= counts[j];
-                out[j] -= counts[i];
+                if (high > m) high = m;
+                while (low < high) {
+                    int64_t mid = (low + high) / 2;
+                    int comparison = 0;
+                    for (int64_t k = 0; k < n_words; k++) {
+                        uint64_t b = row_words[i * n_words + k];
+                        if (k == w) b = delta > 0 ? b + step : b - step;
+                        uint64_t a = words[mid * n_words + k];
+                        if (a < b) { comparison = -1; break; }
+                        if (a > b) { comparison = 1; break; }
+                    }
+                    if (comparison == 0) hit = 1;
+                    if (comparison < 0) low = mid + 1; else high = mid;
+                }
+                j = low;
+                if (hit) out[i] -= counts[j];
+                if (j >= m) break;
             }
         }
     }
@@ -447,8 +467,8 @@ def load() -> dict[str, Any]:
     ]
     lib.level_responses.restype = None
     lib.level_responses.argtypes = [
-        _U64P, _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int64, _I64P,
+        _U64P, _I64P, ctypes.c_int64, ctypes.c_int64, _U64P, _I64P,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P,
     ]
     lib.box_scan.restype = ctypes.c_int64
     lib.box_scan.argtypes = [
@@ -526,13 +546,20 @@ def load() -> dict[str, Any]:
         )
         return out
 
-    def level_responses(level: Level) -> IntArray:
+    def level_responses(level: Level, rows: IntArray) -> IntArray:
         m, n_words = level.words.shape
-        out = np.empty(m, dtype=np.int64)
+        # Gathered here, so every C subscript is a loop or search counter.
+        row_words = level.words[rows]
+        row_counts = level.n[rows]
+        k_rows = row_words.shape[0]
+        out = np.empty(k_rows, dtype=np.int64)
         lib.level_responses(
             np.ascontiguousarray(level.words, dtype=np.uint64),
             np.ascontiguousarray(level.n, dtype=np.int64),
-            m, n_words, level.coords.shape[1], level.h, out,
+            m, n_words,
+            np.ascontiguousarray(row_words, dtype=np.uint64),
+            np.ascontiguousarray(row_counts, dtype=np.int64),
+            k_rows, level.coords.shape[1], level.h, out,
         )
         return out
 

@@ -19,11 +19,12 @@ Five structural facts the kernels exploit:
   its field (see :func:`cell_words` and :func:`half_counts`);
 * a level's rows arrive in key order and its packed cell words
   (``h``-bit fields, axis 0 most significant) compare in that same
-  order, one word at a time; adding ``1 << shift`` to one field moves
-  a cell one step along that axis and keeps the order, so
-  face-neighbour joins are linear merges over one or a few uint64
-  words per cell, not per-probe binary searches over ``d`` columns
-  (see :func:`level_responses`);
+  order, one word at a time; adding or subtracting ``1 << shift``
+  moves a cell one step along that axis and keeps the order, so the
+  face-neighbour probes of a key-ordered subset of cells are found by
+  forward galloping searches over one or a few uint64 words per cell,
+  not per-probe binary searches over ``d`` columns (see
+  :func:`level_responses`);
 * a β-cluster box admits, per axis, one contiguous integer coordinate
   interval ``[lo, hi]``, so the exclusion scan is a flat interval test
   on the fields the box binds;
@@ -157,29 +158,40 @@ def half_counts(
     return out
 
 
-def level_responses(words: AnyArray, counts: IntArray, d: int, width: int) -> IntArray:
-    """Laplacian face-mask response of every cell, in key order.
+def level_responses(
+    words: AnyArray,
+    counts: IntArray,
+    row_words: AnyArray,
+    row_counts: IntArray,
+    d: int,
+    width: int,
+) -> IntArray:
+    """Laplacian face-mask responses of a key-ordered subset of cells.
 
     ``response(c) = 2d·n(c) − Σ_j [n(c−e_j) + n(c+e_j)]`` with empty or
-    out-of-grid neighbours contributing zero.  ``words`` are the
-    level's packed cell words (``width``-bit fields, axis 0 most
-    significant).  The probe of row ``i`` along ``axis`` is its words
-    with ``1 << shift`` added to the word holding that axis's field —
-    the cell one step up that axis, skipped when the field is already
-    ``2^width − 1`` — and the probes are themselves in key order, so
-    one forward merge against the cell rows resolves all neighbour
-    lookups in ``O(m·n_words)`` word compares per axis.  The
-    face-neighbour relation is symmetric (``j = i + e_axis`` implies
-    ``i = j − e_axis``), so that single ``+1`` merge per axis settles
-    both deltas: each match debits ``counts[j]`` from ``responses[i]``
-    and ``counts[i]`` from ``responses[j]``.
+    out-of-grid neighbours contributing zero.  ``words``/``counts`` are
+    the whole level's packed cell words (``width``-bit fields, axis 0
+    most significant) and counts; ``row_words``/``row_counts`` are the
+    same arrays gathered at the cells to evaluate, in key order.  The
+    probe of row ``i`` along ``axis`` is its words with ``1 << shift``
+    added to (``+1``) or subtracted from (``−1``) the word holding that
+    axis's field — skipped when the field is already ``2^width − 1``
+    or ``0`` — and one non-saturated field moved by one keeps the key
+    order, so each of the ``2d`` probe sequences is sorted.  Each probe
+    is found by a forward search over the level that starts at the
+    previous probe's position: it gallops (steps 1, 2, 4, …) past rows
+    below the probe, then binary-searches the last step, so a subset
+    of ``k`` cells costs ``O(k·log(m/k))`` row compares per search and
+    the whole level ``O(m)``.  Rows are unique, so the compare that
+    finds a row equal to the probe marks the match.
     """
     m, n_words = words.shape
+    k_rows = row_words.shape[0]
     per_word = 64 // width
     field = (1 << width) - 1
-    responses = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        responses[i] = 2 * d * counts[i]
+    responses = np.empty(k_rows, dtype=np.int64)
+    for i in range(k_rows):
+        responses[i] = 2 * d * row_counts[i]
     w = 0
     last = per_word if per_word < d else d
     for axis in range(d):
@@ -190,41 +202,68 @@ def level_responses(words: AnyArray, counts: IntArray, d: int, width: int) -> In
                 last = d
         shift = (last - 1 - axis) * width
         step = 1 << shift
-        j = 0
-        for i in range(m):
-            if (int(words[i, w]) >> shift) & field == field:
-                continue
-            # Advance the candidate cursor while row_j < probe_i.
-            while j < m:
-                comparison = 0
-                for k in range(n_words):
-                    b = int(words[i, k])
-                    if k == w:
-                        b += step
-                    a = int(words[j, k])
-                    if a < b:
-                        comparison = -1
+        for delta in (1, -1):
+            edge = field if delta > 0 else 0
+            j = 0
+            for i in range(k_rows):
+                if (int(row_words[i, w]) >> shift) & field == edge:
+                    continue
+                # Gallop from j: rows below ``low`` are below the probe,
+                # and row ``high`` (when < m) is at or above it.  Rows
+                # are unique, so a compare that finds the probe equal
+                # has found the match.
+                low = j
+                high = j
+                span = 1
+                hit = False
+                while high < m:
+                    comparison = 0
+                    for k in range(n_words):
+                        b = int(row_words[i, k])
+                        if k == w:
+                            b += step * delta
+                        a = int(words[high, k])
+                        if a < b:
+                            comparison = -1
+                            break
+                        if a > b:
+                            comparison = 1
+                            break
+                    if comparison == 0:
+                        hit = True
+                        low = high
+                    if comparison >= 0:
                         break
-                    if a > b:
-                        comparison = 1
-                        break
-                if comparison < 0:
-                    j += 1
-                else:
+                    low = high + 1
+                    high += span
+                    span *= 2
+                if high > m:
+                    high = m
+                while low < high:
+                    mid = (low + high) // 2
+                    comparison = 0
+                    for k in range(n_words):
+                        b = int(row_words[i, k])
+                        if k == w:
+                            b += step * delta
+                        a = int(words[mid, k])
+                        if a < b:
+                            comparison = -1
+                            break
+                        if a > b:
+                            comparison = 1
+                            break
+                    if comparison == 0:
+                        hit = True
+                    if comparison < 0:
+                        low = mid + 1
+                    else:
+                        high = mid
+                j = low
+                if hit:
+                    responses[i] -= counts[j]
+                if j >= m:
                     break
-            if j >= m:
-                break
-            equal = True
-            for k in range(n_words):
-                b = int(words[i, k])
-                if k == w:
-                    b += step
-                if int(words[j, k]) != b:
-                    equal = False
-                    break
-            if equal:
-                responses[i] -= counts[j]
-                responses[j] -= counts[i]
     return responses
 
 

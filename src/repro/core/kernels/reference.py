@@ -67,16 +67,21 @@ def half_counts(
     return halves
 
 
-def level_responses(level: Level) -> IntArray:
-    """Laplacian responses in key order (vectorised searchsorted joins)."""
+def level_responses(level: Level, rows: IntArray) -> IntArray:
+    """Laplacian responses at ``rows`` (vectorised searchsorted joins).
+
+    Only the probes of the requested cells are built and joined, so
+    the cost follows ``rows``, not the level.
+    """
     m, d = level.coords.shape
-    responses = (2 * d) * level.n.astype(np.int64)
-    if m <= 1:
+    coords = level.coords[rows]
+    responses = (2 * d) * level.n[rows].astype(np.int64)
+    if m <= 1 or rows.shape[0] == 0:
         return responses
     limit = (1 << level.h) - 1
-    shifted = level.coords.copy()
+    shifted = coords.copy()
     for axis in range(d):
-        column = level.coords[:, axis]
+        column = coords[:, axis]
         for delta in (-1, 1):
             shifted[:, axis] = column + delta
             valid = (shifted[:, axis] >= 0) & (shifted[:, axis] <= limit)

@@ -60,9 +60,10 @@ def find_beta_clusters_soft(
     while len(found) < max_beta_clusters:
         new_cluster = _search_pass(state, alpha)
         if new_cluster is None:
-            return found
+            break
         found.append(new_cluster)
         # NOTE: deliberately no state.exclude_box(new_cluster).
+    state.count_bounded()
     return found
 
 

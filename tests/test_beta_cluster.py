@@ -1,12 +1,25 @@
 """Tests for the β-cluster search (Algorithm 2)."""
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import kernels
-from repro.core.beta_cluster import BetaCluster, _grow_bounds, find_beta_clusters
-from repro.core.counting_tree import CountingTree
+from repro.core import beta_cluster, kernels
+from repro.core.beta_cluster import (
+    BetaCluster,
+    _grow_bounds,
+    find_beta_clusters,
+    reference_find_beta_clusters,
+)
+from repro.core.convolution import convolve_level, level_responses
+from repro.core.counting_tree import CountingTree, Level
 from repro.core.mrcc import MrCC
+from repro.core.soft import find_beta_clusters_soft
+from repro.data.synthetic import SyntheticDatasetSpec, generate_dataset
 from repro.serve import load_model, save_model
 
 AVAILABLE = kernels.available_backends()
@@ -196,3 +209,140 @@ class TestSearchLeavesTreeUnchanged:
             find_beta_clusters(model.tree(), alpha=model.meta["alpha"]),
             model.betas,
         )
+
+
+BACKENDS = [name for name in ("numpy", "cext") if name in AVAILABLE]
+
+small_datasets = st.builds(
+    SyntheticDatasetSpec,
+    dimensionality=st.integers(2, 7),
+    n_points=st.integers(300, 1200),
+    n_clusters=st.integers(1, 4),
+    noise_fraction=st.floats(0.0, 0.3),
+    max_irrelevant=st.integers(1, 2),
+    seed=st.integers(0, 500),
+)
+
+
+@st.composite
+def small_levels(draw):
+    """A key-sorted level on a small grid with counts 1..3 (many ties)."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    d = draw(st.integers(1, 4))
+    h = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 40))
+    coords = np.unique(rng.integers(0, 1 << h, size=(m, d)), axis=0)
+    counts = rng.integers(1, 4, size=coords.shape[0]).astype(np.int64)
+    halves = np.zeros(coords.shape, dtype=np.int64)
+    return Level.from_key_sorted(h, coords.astype(np.int64), counts, halves)
+
+
+def _picks_of_the_whole_level(level, n_picks, seed):
+    """Masked argmaxes over every response, taking each pick and a few
+    random cells after it: what the unpruned search would pick."""
+    responses = level_responses(level)
+    taken = np.zeros(level.n_cells, dtype=bool)
+    rng = np.random.default_rng(seed)
+    picks, masks = [], []
+    for _ in range(n_picks):
+        masks.append(taken.copy())
+        row = convolve_level(responses, taken)
+        picks.append(row)
+        if row >= 0:
+            taken[row] = True
+        taken[rng.random(level.n_cells) < 0.1] = True
+    return picks, masks
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestBoundOrderedSearch:
+    """The pruned search picks exactly what the unpruned search picks."""
+
+    @given(level=small_levels(), first_block=st.integers(1, 3), seed=st.integers(0, 99))
+    @settings(max_examples=60, deadline=None)
+    def test_level_picks_equal_the_masked_argmax(
+        self, backend, level, first_block, seed
+    ):
+        with mock.patch.dict(os.environ, {"REPRO_BACKEND": backend}):
+            picks, masks = _picks_of_the_whole_level(level, 8, seed)
+            with mock.patch.object(beta_cluster, "_FIRST_BLOCK", first_block):
+                search = beta_cluster._LevelSearch(level)
+            for expected, taken in zip(picks, masks):
+                assert search.best_row(taken) == expected
+
+    @given(spec=small_datasets, first_block=st.integers(1, 2))
+    @settings(max_examples=15, deadline=None)
+    def test_equals_the_reference_search(self, backend, spec, first_block):
+        points = generate_dataset(spec).points
+        with mock.patch.dict(os.environ, {"REPRO_BACKEND": backend}):
+            tree = _tree(points)
+            expected = reference_find_beta_clusters(tree, alpha=1e-10)
+            with mock.patch.object(beta_cluster, "_FIRST_BLOCK", first_block):
+                _same_betas(find_beta_clusters(tree, alpha=1e-10), expected)
+
+    @pytest.mark.parametrize("first_block", [1, 2])
+    def test_tie_at_the_bound_goes_to_the_lower_row(self, backend, first_block):
+        # Level 2 of a 4x4 grid: row 0 is cell (0, 0), isolated, 3
+        # points: response 2d·n = 12, its own bound.  Rows 1 and 2 are
+        # cells (3, 2) and (3, 3), face neighbours with 4 points each:
+        # responses 16 - 4 = 12.  They come first in bound order, so
+        # the first blocks hold a winner whose response equals the next
+        # bound while its row is higher; the lower row must still win.
+        points = np.array(
+            [[0.1, 0.1]] * 3 + [[0.9, 0.6]] * 4 + [[0.9, 0.9]] * 4
+        )
+        tree = _tree(points, H=3)
+        level = tree.level(2)
+        assert level.coords.tolist() == [[0, 0], [3, 2], [3, 3]]
+        with mock.patch.dict(os.environ, {"REPRO_BACKEND": backend}):
+            assert level_responses(level).tolist() == [12, 12, 12]
+            with mock.patch.object(beta_cluster, "_FIRST_BLOCK", first_block):
+                search = beta_cluster._LevelSearch(level)
+                taken = np.zeros(3, dtype=bool)
+                assert search.best_row(taken) == 0
+                taken[0] = True
+                assert search.best_row(taken) == 1
+        assert search.evaluated == 3
+
+    def test_one_cell_level(self, backend):
+        tree = _tree(np.array([[0.1, 0.2]] * 5), H=3)
+        level = tree.level(2)
+        assert level.n_cells == 1
+        with mock.patch.dict(os.environ, {"REPRO_BACKEND": backend}):
+            with mock.patch.object(beta_cluster, "_FIRST_BLOCK", 1):
+                search = beta_cluster._LevelSearch(level)
+                taken = np.zeros(1, dtype=bool)
+                assert search.best_row(taken) == 0
+                taken[0] = True
+                assert search.best_row(taken) == -1
+        assert search.evaluated == 1
+
+    def test_fully_taken_level(self, backend):
+        rng = np.random.default_rng(8)
+        level = _tree(rng.random((300, 3)), H=4).level(2)
+        with mock.patch.dict(os.environ, {"REPRO_BACKEND": backend}):
+            with mock.patch.object(beta_cluster, "_FIRST_BLOCK", 2):
+                search = beta_cluster._LevelSearch(level)
+                taken = np.ones(level.n_cells, dtype=bool)
+                assert search.best_row(taken) == -1
+                assert search.best_row(taken) == -1
+
+    @pytest.mark.parametrize("first_block", [1, 2])
+    def test_soft_search_equals_the_unpruned_soft_search(
+        self, backend, first_block
+    ):
+        rng = np.random.default_rng(6)
+        parts = [
+            _planted(rng, 500, 5, axes=(0, 1), means=(0.4, 0.2)),
+            _planted(rng, 500, 5, axes=(0, 1), means=(0.4, 0.8)),
+            rng.uniform(0, 1, size=(300, 5)),
+        ]
+        tree = _tree(np.clip(np.vstack(parts), 0, np.nextafter(1.0, 0)))
+        with mock.patch.dict(os.environ, {"REPRO_BACKEND": backend}):
+            # A first block past every level's size evaluates it whole.
+            with mock.patch.object(beta_cluster, "_FIRST_BLOCK", 1 << 40):
+                unpruned = find_beta_clusters_soft(tree, alpha=1e-10)
+            with mock.patch.object(beta_cluster, "_FIRST_BLOCK", first_block):
+                pruned = find_beta_clusters_soft(tree, alpha=1e-10)
+        assert len(unpruned) >= 2
+        _same_betas(pruned, unpruned)

@@ -22,6 +22,8 @@ from scipy import special, stats
 
 from repro import obs
 from repro.core import kernels
+from repro.core import convolution
+from repro.core.contracts import ContractError
 from repro.core.kernels import cext_backend
 from repro.core.beta_cluster import find_beta_clusters
 from repro.core.counting_tree import CountingTree, Level
@@ -59,9 +61,10 @@ class _LoopsAdapter:
         )
 
     @staticmethod
-    def level_responses(level):
+    def level_responses(level, rows):
         return loops.level_responses(
-            level.words, level.n, level.coords.shape[1], level.h
+            level.words, level.n, level.words[rows], level.n[rows],
+            level.coords.shape[1], level.h,
         )
 
     @staticmethod
@@ -91,6 +94,10 @@ IMPL_NAMES = ["loops"] + [name for name in AVAILABLE if name != "numpy"]
 
 def implementation(name):
     return _LoopsAdapter if name == "loops" else kernels.get_backend(name)
+
+
+def every_row(level):
+    return np.arange(level.n_cells, dtype=np.int64)
 
 
 def walk_level(seed, d, h, m):
@@ -164,7 +171,7 @@ def test_explicit_levels_cover_word_layouts():
         assert int(level.coords.max()) == _limit(level)
         # Face neighbours exist, so the merges and searches match rows.
         isolated = 2 * level.coords.shape[1] * level.n
-        assert np.any(reference.level_responses(level) < isolated)
+        assert np.any(reference.level_responses(level, every_row(level)) < isolated)
 
 
 @st.composite
@@ -451,8 +458,10 @@ class TestKernelEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_level_responses_bit_identical(self, name, level):
         impl = implementation(name)
+        rows = every_row(level)
         np.testing.assert_array_equal(
-            impl.level_responses(level), reference.level_responses(level)
+            impl.level_responses(level, rows),
+            reference.level_responses(level, rows),
         )
 
     @given(level=level_views(), seed=st.integers(0, 10_000))
@@ -557,6 +566,69 @@ class TestKernelEquivalence:
             )
         expected, _ = reference.binom_thetas(totals, probs, alpha)
         np.testing.assert_array_equal(thetas, expected)
+
+
+def border_rows(level):
+    """Rows of cells with some field at 0 or at ``2**h - 1``."""
+    coords = level.coords
+    return np.flatnonzero(np.any((coords == 0) | (coords == _limit(level)), axis=1))
+
+
+@pytest.mark.parametrize("name", ["numpy"] + IMPL_NAMES)
+class TestLevelResponsesAtRows:
+    """Responses at a key-ordered subset of rows equal the whole level's."""
+
+    @given(level=level_views(), seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_random_subsets(self, name, level, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.flatnonzero(rng.random(level.n_cells) < rng.random())
+        whole = reference.level_responses(level, every_row(level))
+        np.testing.assert_array_equal(
+            implementation(name).level_responses(level, rows), whole[rows]
+        )
+
+    @pytest.mark.parametrize(
+        "level",
+        [TWO_WORD_LEVEL, THREE_WORD_LEVEL, DENSE_LEVEL, ONE_AXIS_LEVEL],
+        ids=["two_words", "three_words", "dense", "one_axis"],
+    )
+    def test_empty_single_first_last_and_border_rows(self, name, level):
+        m = level.n_cells
+        whole = reference.level_responses(level, every_row(level))
+        border = border_rows(level)
+        assert border.size
+        for rows in (
+            np.empty(0, dtype=np.int64),
+            np.array([m // 2], dtype=np.int64),
+            np.array([0], dtype=np.int64),
+            np.array([m - 1], dtype=np.int64),
+            np.array([0, m - 1], dtype=np.int64),
+            border,
+        ):
+            responses = implementation(name).level_responses(level, rows)
+            assert responses.dtype == np.int64
+            np.testing.assert_array_equal(responses, whole[rows])
+
+
+def test_explicit_levels_reach_both_grid_borders():
+    # The multi-word levels (d·h > 64 bits a cell) hold fields at 0 and
+    # at 2**h - 1, so the subsets above probe past both grid borders.
+    for level in (TWO_WORD_LEVEL, THREE_WORD_LEVEL):
+        assert level.coords.shape[1] * level.h > 64
+        assert level.words.shape[1] > 1
+        coords = level.coords[border_rows(level)]
+        assert np.any(coords == 0) and np.any(coords == _limit(level))
+
+
+def test_convolution_rejects_unsorted_rows():
+    level = DENSE_LEVEL
+    with pytest.raises(ContractError, match="strictly increasing"):
+        convolution.level_responses(level, np.array([2, 1], dtype=np.int64))
+    with pytest.raises(ContractError, match="strictly increasing"):
+        convolution.level_responses(
+            level, np.array([level.n_cells], dtype=np.int64)
+        )
 
 
 @pytest.mark.parametrize("name", COMPILED or [None])

@@ -2,11 +2,14 @@
 
 The counters are not free-form diagnostics — they encode the paper's
 work accounting, so algebraic invariants must hold for *any* input:
-every counted convolution evaluates every cell of its level, a pivot is
-either accepted or rejected, each accepted pivot pays exactly one MDL
-cut, and the counts cannot depend on how the experiment grid was fanned
-out over processes (``REPRO_JOBS``).
+every cell of a searched level is either evaluated exactly once or
+never evaluated because its bound could not win, a pivot is either
+accepted or rejected, each accepted pivot pays exactly one MDL cut, and
+the counts cannot depend on how the experiment grid was fanned out over
+processes (``REPRO_JOBS``).
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MrCC, obs
+from repro.core import beta_cluster
 from repro.data.synthetic import SyntheticDatasetSpec, generate_dataset
 from repro.experiments.runner import run_suite
 
@@ -28,10 +32,16 @@ dataset_strategy = st.builds(
 )
 
 
-def fit_counters(points, n_resolutions: int = 4) -> dict[str, int]:
-    with obs.capture() as tracer:
-        MrCC(normalize=False, n_resolutions=n_resolutions).fit(points)
-        return dict(tracer.counters)
+def fit_counters(
+    points, n_resolutions: int = 4, first_block: int | None = None
+) -> dict[str, int]:
+    """Counters of one fit; ``first_block`` shrinks the search's first
+    block of responses so small levels are pruned too."""
+    block = beta_cluster._FIRST_BLOCK if first_block is None else first_block
+    with mock.patch.object(beta_cluster, "_FIRST_BLOCK", block):
+        with obs.capture() as tracer:
+            MrCC(normalize=False, n_resolutions=n_resolutions).fit(points)
+            return dict(tracer.counters)
 
 
 def level_counter(counters: dict[str, int], stem: str, h: int) -> int:
@@ -39,40 +49,48 @@ def level_counter(counters: dict[str, int], stem: str, h: int) -> int:
 
 
 class TestCounterInvariants:
-    @given(spec=dataset_strategy)
+    @given(spec=dataset_strategy, first_block=st.sampled_from([1, 2, 1024]))
     @settings(max_examples=12, deadline=None)
-    def test_cells_visited_at_least_cells_created(self, spec):
-        """Every searched level is convolved whole at least once, so the
-        visit count can never undercut the cells the tree created."""
+    def test_evaluated_and_bounded_cells_partition_each_level(
+        self, spec, first_block
+    ):
+        """A searched level's cells are either evaluated (once) or left
+        unevaluated because their bound ``2d·n`` could not win:
+        ``cells_h + bounded_h`` is exactly the cells the tree created.
+        The search visits each evaluated cell once and each pivot once."""
         dataset = generate_dataset(spec)
-        counters = fit_counters(dataset.points)
+        counters = fit_counters(dataset.points, first_block=first_block)
         searched = [
             h
             for h in range(2, 4)
-            if level_counter(counters, "convolution.level{h}.responses", h)
+            if level_counter(counters, "convolution.level{h}.cells", h)
         ]
-        assert searched, "MrCC always convolves at least one level"
+        assert searched == [2, 3], "the last pass searches every level"
         for h in searched:
             created = level_counter(counters, "tree.level{h}.cells", h)
-            visited = level_counter(counters, "search.level{h}.cells_visited", h)
-            assert created > 0
-            assert visited >= created
+            evaluated = level_counter(counters, "convolution.level{h}.cells", h)
+            bounded = level_counter(counters, "convolution.level{h}.bounded", h)
+            assert created > 0 and evaluated > 0
+            assert evaluated + bounded == created
+        visited = sum(
+            level_counter(counters, "search.level{h}.cells_visited", h)
+            for h in searched
+        )
+        assert visited == counters["convolution.cells"] + counters["search.pivots"]
 
     @given(spec=dataset_strategy)
     @settings(max_examples=12, deadline=None)
     def test_convolution_count_equals_candidate_cell_evaluations(self, spec):
-        """``convolution.cells`` is exactly Σ_h responses_h × cells_h —
-        each counted application evaluates every candidate cell of its
-        level once (the responses are cached and re-masked, not
-        recomputed)."""
+        """``convolution.cells`` is exactly Σ_h ``convolution.level{h}.cells``
+        and ``convolution.responses`` Σ_h of the per-level kernel calls:
+        the search evaluates each cell at most once (the responses are
+        kept and re-masked, not recomputed)."""
         dataset = generate_dataset(spec)
-        counters = fit_counters(dataset.points)
-        expected = sum(
-            level_counter(counters, "convolution.level{h}.responses", h)
-            * level_counter(counters, "tree.level{h}.cells", h)
+        counters = fit_counters(dataset.points, first_block=2)
+        assert counters.get("convolution.cells", 0) == sum(
+            level_counter(counters, "convolution.level{h}.cells", h)
             for h in range(2, 4)
         )
-        assert counters.get("convolution.cells", 0) == expected
         assert counters.get("convolution.responses", 0) == sum(
             level_counter(counters, "convolution.level{h}.responses", h)
             for h in range(2, 4)
