@@ -160,7 +160,7 @@ def compare_to_reference(
 
 def _same_levels(left: dict, right: dict) -> bool:
     return left.keys() == right.keys() and all(
-        np.array_equal(left[h].coords, right[h].coords)
+        np.array_equal(left[h].words, right[h].words)
         and np.array_equal(left[h].n, right[h].n)
         and np.array_equal(left[h].half_counts, right[h].half_counts)
         for h in left

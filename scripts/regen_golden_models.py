@@ -15,6 +15,9 @@ on.  Rerun this script (and commit the diff) only when an intentional
 format or algorithm change shifts the bytes::
 
     PYTHONPATH=src python scripts/regen_golden_models.py
+
+The ``*_v1.bin`` fixtures beside them are frozen schema-v1 files, kept
+to pin read compatibility; this script never rewrites them.
 """
 
 from __future__ import annotations

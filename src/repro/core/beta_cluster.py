@@ -111,7 +111,7 @@ class _LevelSearch:
 
     def __init__(self, level: Level) -> None:
         self.level = level
-        self.bounds = (2 * level.coords.shape[1]) * level.n.astype(np.int64)
+        self.bounds = np.multiply(level.n, 2 * level.d, dtype=np.int64)
         # A stable sort of -n ranks equal counts by row: (-n, row).
         self.order = np.argsort(-self.bounds, kind="stable")
         self.responses = np.zeros(level.n_cells, dtype=np.int64)
@@ -249,9 +249,10 @@ def _grow_bounds(
         floor = max(1.0, _GROWTH_SHARE * float(level.n[row]))
     else:
         floor = 1.0
-    for axis in np.flatnonzero(relevant):
+    axes = np.flatnonzero(relevant)
+    lower_rows, upper_rows = level.neighbor_rows(row, axes)
+    for axis, lower_row, upper_row in zip(axes, lower_rows, upper_rows):
         lo, up = cell_lower[axis], cell_upper[axis]
-        lower_row, upper_row = level.neighbor_rows(row, int(axis))
         if lower_row >= 0 and level.n[lower_row] >= floor:
             lo -= side
         if upper_row >= 0 and level.n[upper_row] >= floor:

@@ -158,13 +158,14 @@ def check_level(name: str, level: Any) -> None:
     """Validate the column arrays of one Counting-tree level.
 
     Checks the inter-column shape/dtype contract the β-cluster search
-    relies on: integer cell coordinates, one count per cell, and
-    half-space counts per (cell, axis).
+    relies on: integer cell coordinates (the level's derived oracle
+    view), one uint32 count per cell, and uint32 half-space counts per
+    (cell, axis).
     """
     coords = check_array(f"{name}.coords", level.coords, dtype=np.int64, ndim=2)
-    n = check_array(f"{name}.n", level.n, dtype=np.int64, ndim=1)
+    n = check_array(f"{name}.n", level.n, dtype=np.uint32, ndim=1)
     half = check_array(
-        f"{name}.half_counts", level.half_counts, dtype=np.int64, ndim=2
+        f"{name}.half_counts", level.half_counts, dtype=np.uint32, ndim=2
     )
     m = coords.shape[0]
     if n.shape[0] != m or half.shape != coords.shape:

@@ -88,9 +88,9 @@ def overlap_rows(
       axis) can never reject a cell, so the per-axis predicate runs
       only over *binding* axes — the handful the MDL cut kept;
     * the sorted-key order is lexicographic, so when axis 0 binds, a
-      ``searchsorted`` over the first packed cell word, whose top field
-      is axis 0, bounds the candidate rows to the box's axis-0 cell
-      range.
+      ``searchsorted`` over the packed cell words, whose first word's
+      top field is axis 0, bounds the candidate rows to the box's
+      axis-0 cell range.
     """
     n_coords = 1 << level.h
     cell_lower = np.arange(n_coords, dtype=np.int64) * level.side
@@ -112,19 +112,26 @@ def overlap_rows(
     if binding[0]:
         # Axis 0 binds: the key order is lexicographic, so its cells
         # sit in one contiguous run of the rows.  Axis 0 is the top
-        # field of the first word; past the grid's last coordinate
-        # ``(hi + 1) << shift`` can reach 2**64, so that run ends at m.
-        first = level.words[:, 0]
-        shift = _field_layout(level.coords.shape[1], level.h)[2][0]
-        start = int(np.searchsorted(first, np.uint64(lo[0]) << shift))
+        # field of the first word, so a probe holding only that field
+        # bounds the run; past the field's last value ``(hi + 1) <<
+        # shift`` can reach 2**64, so a run to the grid's end ends at m.
+        shift = _field_layout(level.d, level.width)[2][0]
+        probe = np.zeros((1, level.words.shape[1]), dtype=np.uint64)
+        probe[0, 0] = np.uint64(lo[0]) << shift
+        start = int(level.search_words(probe)[0])
         if hi[0] == n_coords - 1:
             stop = level.n_cells
         else:
-            stop = int(np.searchsorted(first, np.uint64(hi[0] + 1) << shift))
+            probe[0, 0] = np.uint64(hi[0] + 1) << shift
+            stop = int(level.search_words(probe)[0])
     else:
         start, stop = 0, level.n_cells
     if start >= stop:
         return np.empty(0, dtype=np.int64)
+    # No cell lies past the grid's last coordinate, so an interval that
+    # reaches it may reach the field's last value: the scan then skips
+    # that axis as unbound when fields are wider than the grid.
+    hi[hi == n_coords - 1] = (1 << level.width) - 1
     return kernels.active_backend().box_scan(level, lo, hi, start, stop)
 
 

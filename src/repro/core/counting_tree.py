@@ -17,8 +17,9 @@ query.
 Only non-empty cells are materialised, so each level holds at most
 ``η`` cells regardless of the ``O(2^{dh})`` nominal grid size — the
 paper's "linked list of cells per node" economy.  Levels are stored
-column-wise in numpy arrays, rows in the order of their packed cell
-keys, and a ``searchsorted`` join over those keys gives the cell and
+column-wise in numpy arrays: each cell is its packed uint64 cell words
+(the one cell key) plus uint32 ``n`` and ``P[j]``, rows in the order of
+the words, and a ``searchsorted`` over the words gives the cell and
 face-neighbour lookup phase two depends on.
 
 Construction is a single scan in the paper, and a single pass over the
@@ -43,6 +44,7 @@ one half-space count per axis, exactly as Algorithm 1 lines 4-10.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from dataclasses import dataclass, field
 import numpy as np
@@ -55,10 +57,14 @@ MIN_RESOLUTIONS = 3
 """Algorithm 1 requires ``H >= 3``."""
 
 MAX_RESOLUTIONS = 32
-"""Level coordinates must fit the ``>u4`` fields of :func:`void_keys`,
-bounding ``H`` at 32.  That packing now serves only the ``Level`` lookup
-index and the model-file keys; the tree build groups on uint64 cell
-words, whose field width adapts to the coordinates."""
+"""Cell words hold one ``H-1``-bit field per axis, so ``H - 1`` must fit
+a 64-bit word with room to spare, and the oracle's :func:`void_keys`
+hold level coordinates in ``>u4`` fields; both bound ``H`` at 32."""
+
+MAX_POINTS = (1 << 32) - 1
+"""Largest point count a tree holds: cell counts and half-space counts
+are stored as uint32.  :class:`CountingTree` and the streaming builder
+refuse more points before they touch any store."""
 
 _KEY_COORD_MAX = (1 << 32) - 1
 """Largest coordinate the big-endian ``>u4`` key packing can hold."""
@@ -69,13 +75,27 @@ the process fan-out costs more than the binning it parallelises.  An
 explicit ``n_jobs`` argument overrides the floor."""
 
 
+def check_point_count(n_points: int) -> None:
+    """Refuse a tree over more than :data:`MAX_POINTS` points.
+
+    Always on: a count that wraps in uint32 is a wrong tree, not a slow
+    one.
+    """
+    if n_points > MAX_POINTS:
+        raise ContractError(
+            f"a Counting-tree holds at most {MAX_POINTS} points (uint32 "
+            f"cell counts), got {n_points}"
+        )
+
+
 def void_keys(coords: IntArray) -> AnyArray:
     """Encode coordinate rows as comparable fixed-size binary keys.
 
     Big-endian unsigned encoding makes the bytewise comparison of the
     void view coincide with lexicographic numeric order, so the keys
     support ``np.searchsorted`` joins — the vectorised equivalent of a
-    per-cell hash lookup.
+    per-cell hash lookup.  Only the numpy oracle's joins use them
+    (:attr:`Level.keys`); everything else searches the packed words.
 
     The ``>u4`` packing holds coordinates in ``[0, 2**32)``; anything
     outside would wrap silently and alias distinct cells, so the range
@@ -103,73 +123,137 @@ def void_keys(coords: IntArray) -> AnyArray:
 class Level:
     """One resolution level of the Counting-tree, rows in key order.
 
-    A level is a read-only index: the builders and the model loader
-    emit its rows in the lexicographic order of the packed cell keys,
-    and the kernels, the lookups and the model writer all read it in
-    that order.  Search bookkeeping (the paper's ``usedCell``) lives in
-    the β-cluster search, not here.  Build one with
-    :meth:`from_key_sorted`.
+    A level is a read-only index of packed cell words: the builders and
+    the model loader emit its rows in the numeric order of the words,
+    which is the lexicographic order of the cell coordinates, and the
+    kernels, the lookups and the model writer all read it in that
+    order.  Search bookkeeping (the paper's ``usedCell``) lives in the
+    β-cluster search, not here.
 
     Attributes
     ----------
     h:
         Level number; cells have side ``1 / 2**h``.
-    coords:
-        ``(m, d)`` integer cell coordinates (``floor(x * 2**h)``).
-    n:
-        ``(m,)`` point count per cell.
-    half_counts:
-        ``(m, d)`` half-space counts (the paper's ``P[]``).
-    keys:
-        ``(m,)`` the packed :func:`void_keys` of ``coords``, sorted —
-        the index of every ``searchsorted`` cell lookup.
+    width:
+        Bits per axis field of ``words``: the tree-wide ``H - 1`` at
+        every level, so a parent's words are its child's shifted right
+        by one bit per field.  Coordinates at level ``h`` use only the
+        low ``h`` bits of each field.
     words:
-        ``(m, n_words)`` uint64 packed cell words of ``coords``
-        (:attr:`words`, built on first use and cached).
+        ``(m, n_words)`` uint64 packed cell coordinates, one ``width``-bit
+        field per axis in the :func:`_field_layout` layout, axis 0 most
+        significant, rows in strictly increasing order (first word most
+        significant).
+    n:
+        ``(m,)`` uint32 point count per cell.
+    half_counts:
+        ``(m, d)`` uint32 half-space counts (the paper's ``P[]``).
+
+    The oracle views :attr:`coords` (``(m, d)`` int64 coordinates) and
+    :attr:`keys` (their sorted :func:`void_keys`) are derived from
+    ``words`` on first use and cached; the β-search on the compiled
+    backend and the serving paths never build them.  Build a level from
+    coordinates with :meth:`from_coords`.
     """
 
     h: int
-    coords: IntArray
-    n: IntArray
-    half_counts: IntArray
-    keys: AnyArray
-    _words: AnyArray | None = field(default=None, repr=False)
+    width: int
+    words: AnyArray
+    n: AnyArray
+    half_counts: AnyArray
+    _coords: IntArray | None = field(default=None, repr=False, compare=False)
+    _keys: AnyArray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_key_sorted(
+    def from_coords(
         cls,
         h: int,
         coords: IntArray,
-        n: IntArray,
-        half_counts: IntArray,
-        keys: AnyArray | None = None,
+        n: AnyArray,
+        half_counts: AnyArray,
+        width: int | None = None,
     ) -> "Level":
-        """Wrap arrays already in canonical key order as a ``Level``.
+        """Pack key-sorted coordinate rows into a level.
 
-        When ``keys`` is supplied — e.g. the packed keys persisted
-        inside a model file, possibly a read-only memmap — not even the
-        key repacking runs, which is what keeps a memmap-backed serving
-        tree near-zero-copy.  Rows out of key order would silently
-        corrupt every lookup, so callers must hold the canonical-order
-        invariant (every tree builder and the model store do).
+        ``width`` defaults to ``h``, the narrowest field that holds the
+        level's coordinates; tree levels use the tree-wide ``H - 1``.
+        Counts must lie in ``[0, MAX_POINTS]``.  Rows out of key order
+        would silently corrupt every lookup, so callers must hold the
+        canonical-order invariant.
         """
+        coords = np.asarray(coords)
+        width = h if width is None else width
+        if coords.size and int(coords.max()) >= 1 << h:
+            raise ContractError(
+                f"coords exceed the level-{h} grid [0, {(1 << h) - 1}]"
+            )
         return cls(
             h=h,
-            coords=coords,
-            n=n,
-            half_counts=half_counts,
-            keys=keys if keys is not None else void_keys(coords),
+            width=width,
+            words=_pack_words(coords, width),
+            n=_as_counts("n", n),
+            half_counts=_as_counts("half_counts", half_counts),
         )
 
     @property
     def n_cells(self) -> int:
         """Number of non-empty cells stored at this level."""
-        return int(self.coords.shape[0])
+        return int(self.words.shape[0])
+
+    @property
+    def d(self) -> int:
+        """Embedding dimensionality of the cells."""
+        return int(self.half_counts.shape[1])
 
     @property
     def side(self) -> float:
         """Cell side length ``ξ_h = 1 / 2**h``."""
         return 1.0 / (1 << self.h)
+
+    @property
+    def coords(self) -> IntArray:
+        """``(m, d)`` int64 cell coordinates (derived, cached, read-only)."""
+        if self._coords is None:
+            coords = _unpack_words(self.words, self.d, self.width)
+            coords.flags.writeable = False
+            self._coords = coords
+        return self._coords
+
+    @property
+    def keys(self) -> AnyArray:
+        """Sorted :func:`void_keys` of :attr:`coords` (derived, cached).
+
+        The index of the numpy oracle's ``searchsorted`` joins.
+        """
+        if self._keys is None:
+            self._keys = void_keys(self.coords)
+        return self._keys
+
+    def coords_of(self, rows: IntArray | int) -> IntArray:
+        """int64 coordinates of the cells at ``rows`` (unpacked on demand)."""
+        return _unpack_words(self.words[rows], self.d, self.width)
+
+    def search_words(self, probes: AnyArray) -> IntArray:
+        """Insertion row of each packed probe row (``searchsorted`` left).
+
+        ``probes`` is ``(k, n_words)`` uint64 in this level's layout.
+        Rows compare as records of their words, first word first, so
+        one ``searchsorted`` over a record view of :attr:`words` serves
+        every word count without copying the level.
+        """
+        record = _word_record(self.words.shape[1])
+        probes = np.ascontiguousarray(probes, dtype=np.uint64)
+        table = self.words.view(record).reshape(self.n_cells)
+        return np.searchsorted(table, probes.view(record).reshape(-1))
+
+    def find_words(self, probes: AnyArray) -> IntArray:
+        """Row of each packed probe row, or ``-1`` where no cell matches."""
+        k, m = probes.shape[0], self.n_cells
+        if k == 0 or m == 0:
+            return np.full(k, -1, dtype=np.int64)
+        rows = np.minimum(self.search_words(probes), m - 1)
+        found = np.all(self.words[rows] == probes, axis=1)
+        return np.where(found, rows, -1)
 
     def row_of(self, coords: IntArray) -> int:
         """Row index of the cell at ``coords``, or ``-1`` if empty."""
@@ -177,54 +261,48 @@ class Level:
         return int(rows[0])
 
     def rows_of(self, coords: IntArray) -> IntArray:
-        """Vectorised cell lookup: one row index (or -1) per query row."""
-        coords = np.asarray(coords)
-        if coords.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        queries = void_keys(coords)
-        rows = np.searchsorted(self.keys, queries)
-        rows = np.minimum(rows, self.keys.shape[0] - 1)
-        found = self.keys[rows] == queries
-        return np.where(found, rows, -1).astype(np.int64)
+        """Vectorised cell lookup: one row index (or -1) per query row.
 
-    @property
-    def words(self) -> AnyArray:
-        """The packed cell words, ``(m, n_words)`` uint64 (cached).
-
-        One ``h``-bit field per axis in the :func:`_field_layout`
-        layout, axis 0 most significant, so the rows' word order
-        (first word most significant) is their key order.  The
-        compiled search kernels compare one or a few words per cell
-        instead of ``d`` coordinates, and axis 0 is the top field of
-        ``words[:, 0]``, so ``np.searchsorted`` on that column bounds
-        the rows of an axis-0 coordinate range.
+        Queries outside the level's grid find no cell.
         """
-        if self._words is None:
-            self._words = _pack_words(self.coords, self.h)
-        return self._words
+        coords = np.asarray(coords, dtype=np.int64)
+        rows = np.full(coords.shape[0], -1, dtype=np.int64)
+        inside = np.all((coords >= 0) & (coords < (1 << self.h)), axis=1)
+        rows[inside] = self.find_words(_pack_words(coords[inside], self.width))
+        return rows
 
-    def neighbor_rows(self, row: int, axis: int) -> tuple[int, int]:
-        """Rows of the lower/upper face neighbours along ``axis`` (-1 if empty).
+    def neighbor_rows(
+        self, row: int, axes: IntArray
+    ) -> tuple[IntArray, IntArray]:
+        """Rows of the lower/upper face neighbours along each of ``axes``.
 
-        Covers both the paper's *internal* and *external* neighbours:
-        the key index does not care whether the neighbour lives in the
+        Each probe is the cell's words with one field moved by one;
+        probes past the grid's border find no cell (``-1``).  Covers
+        both the paper's *internal* and *external* neighbours: the
+        word index does not care whether the neighbour lives in the
         same tree node or a sibling node.
         """
-        coords = self.coords[row].copy()
-        original = coords[axis]
-        lower = -1
-        if original > 0:
-            coords[axis] = original - 1
-            lower = self.row_of(coords)
-        upper = -1
-        if original < (1 << self.h) - 1:
-            coords[axis] = original + 1
-            upper = self.row_of(coords)
-        return lower, upper
+        axes = np.asarray(axes, dtype=np.int64)
+        k = axes.shape[0]
+        _, word, shift = _field_layout(self.d, self.width)
+        word, shift = word[axes], shift[axes]
+        step = np.uint64(1) << shift
+        coordinate = self.coords_of(row)[axes]
+        probes = np.repeat(self.words[row : row + 1], 2 * k, axis=0)
+        lower, upper = probes[:k], probes[k:]
+        index = np.arange(k, dtype=np.int64)
+        has_lower = coordinate > 0
+        has_upper = coordinate < (1 << self.h) - 1
+        lower[index[has_lower], word[has_lower]] -= step[has_lower]
+        upper[index[has_upper], word[has_upper]] += step[has_upper]
+        rows = np.full(2 * k, -1, dtype=np.int64)
+        valid = np.concatenate((has_lower, has_upper))
+        rows[valid] = self.find_words(probes[valid])
+        return rows[:k], rows[k:]
 
     def bounds(self, row: int) -> tuple[FloatArray, FloatArray]:
         """Lower/upper bounds ``(l_j, u_j)`` of the cell in data space."""
-        lower = self.coords[row] * self.side
+        lower = self.coords_of(row) * self.side
         return lower, lower + self.side
 
 
@@ -258,7 +336,8 @@ class CountingTree:
     and no ``(η, d)`` int64 coordinate matrix or float64 temporary of
     the input's size (the numpy oracle backend still bins into one);
     the levels themselves take ``O(H η d)``, matching Algorithm 1's
-    stated complexity.
+    stated complexity: each stored cell is its ``n_words`` uint64 words
+    plus ``1 + d`` uint32 counts.
     """
 
     def __init__(
@@ -275,12 +354,12 @@ class CountingTree:
             raise ValueError(f"n_resolutions must be >= {MIN_RESOLUTIONS}")
         if n_resolutions > MAX_RESOLUTIONS:
             raise ContractError(
-                f"n_resolutions must be <= {MAX_RESOLUTIONS}: level "
-                f"coordinates reach 2**n_resolutions - 1 and must fit "
-                f"the uint32 cell-key packing"
+                f"n_resolutions must be <= {MAX_RESOLUTIONS}: cell "
+                f"words hold one (n_resolutions - 1)-bit field per axis"
             )
         if n_jobs is not None and n_jobs < 1:
             raise ValueError("n_jobs must be a positive worker count")
+        check_point_count(points.shape[0])
 
         self._n_points, self._d = points.shape
         self._H = int(n_resolutions)
@@ -329,18 +408,25 @@ class CountingTree:
         return self._levels[h]
 
     def parent_row(self, h: int, row: int) -> int:
-        """Row index (at level ``h-1``) of the parent of cell ``row`` at level ``h``."""
+        """Row index (at level ``h-1``) of the parent of cell ``row`` at level ``h``.
+
+        Every level packs the tree-wide ``H-1``-bit fields, so the
+        parent's words are the child's shifted right by one bit per
+        field (:func:`_parent_masks`).
+        """
         if h <= 1:
             raise ValueError("level-1 cells have the implicit root as parent")
-        parent_coords = self.level(h).coords[row] >> 1
-        parent = self.level(h - 1).row_of(parent_coords)
+        level = self.level(h)
+        masks = _parent_masks(self._d, level.width)
+        parent_words = (level.words[row : row + 1] >> np.uint64(1)) & masks
+        parent = int(self.level(h - 1).find_words(parent_words)[0])
         if parent < 0:
             raise RuntimeError("corrupt tree: populated cell with empty parent")
         return parent
 
-    def loc_bits(self, h: int, row: int) -> np.ndarray:
+    def loc_bits(self, h: int, row: int) -> IntArray:
         """The cell's relative position ``loc`` inside its parent (d bits)."""
-        return (self.level(h).coords[row] & 1).astype(np.int64)
+        return self.level(h).coords_of(row) & 1
 
     def total_cells(self) -> int:
         """Total number of stored cells, for memory accounting."""
@@ -362,11 +448,13 @@ def bin_points(points: FloatArray, n_resolutions: int) -> IntArray:
     return scaled.astype(np.int64)
 
 
-LevelArrays = tuple[IntArray, IntArray, IntArray]
+LevelArrays = tuple[AnyArray, AnyArray, AnyArray]
 """One level's structure-of-arrays cell aggregate: key-sorted
-``(coords, counts, half_counts)``.  The canonical exchange format
-between the builders — the streaming store, the shard workers and the
-merge all speak it."""
+``(words, counts, half_counts)`` — ``(m, n_words)`` uint64 cell words
+in ``H-1``-bit fields, ``(m,)`` uint32 counts and ``(m, d)`` uint32
+half-space counts.  The canonical exchange format between the builders
+— the streaming store, the shard workers and the merge all speak it,
+and none of them ever unpacks a coordinate."""
 
 
 def level_arrays(points: FloatArray, n_resolutions: int) -> dict[int, LevelArrays]:
@@ -384,16 +472,17 @@ def level_arrays(points: FloatArray, n_resolutions: int) -> dict[int, LevelArray
     level's unique *words*: ``(word >> 1) & field_mask`` is the packed
     parent coordinate and the bit shifted out of each field is the
     child's parity, so every sort after the first sorts at most
-    ``cells`` words, not ``η`` rows, and nothing is repacked.  Cell
-    coordinates are unpacked from the unique words.
+    ``cells`` words, not ``η`` rows, and nothing is repacked or
+    unpacked: every level keeps the same ``H-1``-bit fields.
 
     The words' numeric order is the numeric-lexicographic cell order,
     which is canonical: any split of the points into chunks yields,
-    after :func:`merge_level_arrays`, element-identical arrays.  This
-    function is deliberately free of observability and environment
-    access beyond the backend choice, which cannot change a result
-    (every backend is bit-identical) — it is the body shard workers
-    run, and workers must be pure.
+    after :func:`merge_level_arrays`, element-identical arrays.  The
+    caller bounds η by :data:`MAX_POINTS`, so the uint32 counts cannot
+    wrap.  This function is deliberately free of observability and
+    environment access beyond the backend choice, which cannot change a
+    result (every backend is bit-identical) — it is the body shard
+    workers run, and workers must be pure.
     """
     from repro.core.kernels import active_backend
 
@@ -403,23 +492,23 @@ def level_arrays(points: FloatArray, n_resolutions: int) -> dict[int, LevelArray
     words, parity = backend.cell_words(points, n_resolutions)
     order, starts, cell_words = _group_words(words)
     del words
-    counts = np.diff(np.append(starts, n_points))
+    counts = _as_counts("counts", np.diff(np.append(starts, n_points)))
     halves = backend.half_counts(parity[order], None, starts, counts, d, 1)
     del parity, order
 
     masks = _parent_masks(d, width)
-    arrays = {
-        n_resolutions - 1: (_unpack_words(cell_words, d, width), counts, halves)
-    }
+    arrays = {n_resolutions - 1: (cell_words, counts, halves)}
     for h in range(n_resolutions - 2, 0, -1):
         fine_words, fine_counts = cell_words, counts
-        order, starts, cell_words = _group_words((fine_words >> 1) & masks)
+        order, starts, cell_words = _group_words(
+            (fine_words >> np.uint64(1)) & masks
+        )
         child_counts = fine_counts[order]
-        counts = np.add.reduceat(child_counts, starts)
+        counts = np.add.reduceat(child_counts, starts, dtype=np.uint32)
         halves = backend.half_counts(
             fine_words[order], child_counts, starts, counts, d, width
         )
-        arrays[h] = (_unpack_words(cell_words, d, width), counts, halves)
+        arrays[h] = (cell_words, counts, halves)
     return {h: arrays[h] for h in range(1, n_resolutions)}
 
 
@@ -428,35 +517,32 @@ def merge_level_arrays(left: LevelArrays, right: LevelArrays) -> LevelArrays:
 
     Cell counts and half-space counts are sums over points, so merging
     two disjoint point sets' aggregates is an integer sum grouped by
-    cell key; the output is again in canonical key order.  The merge is
-    associative and commutative, which is what lets the sharded build
-    reduce partial trees in deterministic shard order regardless of
-    worker completion order.
+    cell word; the output is again in canonical key order.  The merge
+    is associative and commutative, which is what lets the sharded
+    build reduce partial trees in deterministic shard order regardless
+    of worker completion order.  Both sides must share one word layout
+    (one ``d`` and one ``H``), and the caller bounds the merged point
+    count by :data:`MAX_POINTS`.
     """
-    coords = np.concatenate([left[0], right[0]])
+    words = np.concatenate([left[0], right[0]])
     counts = np.concatenate([left[1], right[1]])
     halves = np.concatenate([left[2], right[2]])
-    cells, order, starts = _group_rows(coords)
-    merged_counts = np.add.reduceat(counts[order], starts)
-    merged_halves = np.add.reduceat(halves[order], starts, axis=0)
+    order, starts, cells = _group_words(words)
+    merged_counts = np.add.reduceat(counts[order], starts, dtype=np.uint32)
+    merged_halves = np.add.reduceat(halves[order], starts, axis=0, dtype=np.uint32)
     return cells, merged_counts, merged_halves
 
 
-def level_from_arrays(h: int, arrays: LevelArrays) -> Level:
+def level_from_arrays(h: int, width: int, arrays: LevelArrays) -> Level:
     """Wrap one key-sorted SoA aggregate as a ``Level``."""
-    cells, counts, halves = arrays
-    return Level.from_key_sorted(
-        h,
-        np.ascontiguousarray(cells),
-        np.ascontiguousarray(counts),
-        np.ascontiguousarray(halves),
-    )
+    words, counts, halves = arrays
+    return Level(h=h, width=width, words=words, n=counts, half_counts=halves)
 
 
 def aggregate_levels(points: FloatArray, n_resolutions: int) -> dict[int, Level]:
     """Build all levels from one binning pass, coarse levels by aggregation.
 
-    Thin observability wrapper over :func:`level_arrays` — cell order,
+    Thin observability wrapper over :func:`level_arrays` — cell words,
     counts and half-space counts are element-identical to
     :func:`_reference_build` over :func:`bin_points` of the same
     points; the property tests assert it.
@@ -464,22 +550,9 @@ def aggregate_levels(points: FloatArray, n_resolutions: int) -> dict[int, Level]
     arrays = level_arrays(points, n_resolutions)
     levels: dict[int, Level] = {}
     for h in range(1, n_resolutions):
-        levels[h] = level_from_arrays(h, arrays[h])
+        levels[h] = level_from_arrays(h, n_resolutions - 1, arrays[h])
         obs.incr(f"tree.level{h}.cells", levels[h].n_cells)
     return levels
-
-
-def _group_rows(coords: IntArray) -> tuple[IntArray, IntArray, IntArray]:
-    """Group identical coordinate rows by sorting their packed words.
-
-    Returns ``(cells, order, starts)``: the unique rows in
-    numeric-lexicographic order, the permutation sorting the input into
-    that order, and the start offset of each group within the permuted
-    input.
-    """
-    width = _field_width(coords)
-    order, starts, cell_words = _group_words(_pack_words(coords, width))
-    return _unpack_words(cell_words, coords.shape[1], width), order, starts
 
 
 # Packed cell words.  A cell's coordinates are packed into uint64 words
@@ -487,18 +560,38 @@ def _group_rows(coords: IntArray) -> tuple[IntArray, IntArray, IntArray]:
 # a word and axis 0 in the most significant field, so the numeric order
 # of the words (first word most significant) is the lexicographic order
 # of the coordinates — the canonical order of the big-endian
-# :func:`void_keys`.  Sorting one or a few machine words per cell is
-# what keeps grouping cheap; the void keys remain only the ``Level``
-# lookup index and the model-file format.
+# :func:`void_keys`.  Sorting, merging and searching one or a few
+# machine words per cell is what keeps the tree small and its lookups
+# cheap; the void keys remain only the numpy oracle's join index.
 
 _PACK_ROWS = 8192
 """Rows packed per block: small enough that the block's temporaries
 stay in cache while the strided ``(m, d)`` input is read once."""
 
 
-def _field_width(coords: IntArray, drop: int = 0) -> int:
-    """Bits per field that hold every ``coords >> drop`` (at least 1)."""
-    return max(1, (int(coords.max(initial=0)) >> drop).bit_length())
+def _as_counts(name: str, values: AnyArray) -> AnyArray:
+    """``values`` as a uint32 count array, refusing what uint32 cannot hold."""
+    values = np.asarray(values)
+    if values.dtype == np.uint32:
+        return values
+    if values.size and (int(values.min()) < 0 or int(values.max()) > MAX_POINTS):
+        raise ContractError(
+            f"{name} must lie in [0, {MAX_POINTS}] to be stored as uint32 "
+            f"counts (observed range [{int(values.min())}, "
+            f"{int(values.max())}])"
+        )
+    return values.astype(np.uint32)
+
+
+@functools.lru_cache(maxsize=None)
+def _word_record(n_words: int) -> np.dtype:
+    """A record of ``n_words`` uint64 fields: one packed cell row.
+
+    Records compare field by field, first field first, which is the
+    rows' key order — so ``searchsorted`` over a record view of a
+    level's words is its cell lookup, at any word count.
+    """
+    return np.dtype([(f"w{k}", np.uint64) for k in range(n_words)])
 
 
 def _field_layout(d: int, width: int) -> tuple[int, IntArray, AnyArray]:
@@ -544,9 +637,9 @@ def _pack_words(coords: IntArray, width: int, drop: int = 0) -> AnyArray:
 
 
 def _unpack_words(words: AnyArray, d: int, width: int) -> IntArray:
-    """The ``(m, d)`` int64 coordinates packed in ``words``."""
+    """The int64 coordinates packed in ``words`` (``(..., n_words)`` rows)."""
     _, word, shift = _field_layout(d, width)
-    fields = words[:, word] >> shift
+    fields = words[..., word] >> shift
     fields &= np.uint64((1 << width) - 1)
     return fields.view(np.int64)
 
@@ -607,7 +700,9 @@ def _reference_build(base: IntArray, h: int, n_resolutions: int, d: int) -> Leve
     half_counts = np.zeros((cells.shape[0], d), dtype=np.int64)
     np.add.at(half_counts, inverse, (half_bits == 0).astype(np.int64))
 
-    return Level.from_key_sorted(h, np.ascontiguousarray(cells), counts, half_counts)
+    return Level.from_coords(
+        h, cells, counts, half_counts, width=n_resolutions - 1
+    )
 
 
 def reference_levels(
@@ -625,9 +720,17 @@ def tree_from_levels(
 ) -> CountingTree:
     """Assemble a CountingTree around pre-built levels.
 
-    Used by the streaming builder and by the perf baseline's reference
-    path; callers guarantee the levels are mutually consistent.
+    Used by the streaming builder, the model loader and the perf
+    baseline's reference path; callers guarantee the levels are
+    mutually consistent.  Every level must pack the tree-wide
+    ``H-1``-bit fields, which the parent lookups rely on.
     """
+    widths = {level.width for level in levels.values()}
+    if widths - {n_resolutions - 1}:
+        raise ValueError(
+            f"tree levels must pack {n_resolutions - 1}-bit fields, got "
+            f"widths {sorted(widths)}"
+        )
     tree = CountingTree.__new__(CountingTree)
     tree._n_points = n_points
     tree._d = d

@@ -112,7 +112,7 @@ def neighborhood_counts(tree: CountingTree, h: int, row: int) -> NeighborhoodCou
     # Regions beyond the space border cannot receive points and are not
     # analyzed; an in-grid but empty neighbour still counts as two
     # analyzed (zero-count) regions.
-    coords = parent_level.coords[parent_row]
+    coords = parent_level.coords_of(parent_row)
     parent_limit = (1 << parent_level.h) - 1
     at_border = (coords == 0).astype(np.int64) + (coords == parent_limit)
     probability = 1.0 / (6 - 2 * at_border)

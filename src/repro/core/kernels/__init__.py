@@ -12,8 +12,8 @@ interchangeable backends, seven entry points each:
   ``binom_thetas``) and the β-cluster box-exclusion scan
   (``box_scan``), on the key-ordered
   :class:`~repro.core.counting_tree.Level` itself (the cext kernels
-  read its packed cell words, the numpy oracle its void keys and
-  coordinates);
+  read its packed cell words and uint32 counts, the numpy oracle the
+  void keys and coordinates it derives from them);
 * the labelling pass that assigns each point its correlation cluster
   (``label_rows``), on the points and the β-boxes flattened in group
   order.
@@ -87,12 +87,12 @@ class _HalfCountsKernel(Protocol):
     def __call__(
         self,
         child_words: AnyArray,
-        child_counts: IntArray | None,
+        child_counts: AnyArray | None,
         starts: IntArray,
-        counts: IntArray,
+        counts: AnyArray,
         d: int,
         width: int,
-    ) -> IntArray: ...
+    ) -> AnyArray: ...
 
 
 class _BinomThetasKernel(Protocol):
@@ -237,11 +237,11 @@ def warm_up(backend: Backend) -> None:
     Benchmarks call this before timing so one-off compilation cost is
     reported separately instead of polluting the measured runs.
     """
-    level = Level.from_key_sorted(
+    level = Level.from_coords(
         1,
         np.array([[0, 0], [0, 1], [1, 1]], dtype=np.int64),
-        np.array([2, 3, 4], dtype=np.int64),
-        np.array([[1, 1], [2, 1], [2, 2]], dtype=np.int64),
+        np.array([2, 3, 4], dtype=np.uint32),
+        np.array([[1, 1], [2, 1], [2, 2]], dtype=np.uint32),
     )
     words, parity = backend.cell_words(
         np.array([[0.1, 0.6], [0.9, 0.3]], dtype=np.float64), 3
@@ -250,15 +250,15 @@ def warm_up(backend: Backend) -> None:
         parity,
         None,
         np.array([0, 1], dtype=np.int64),
-        np.array([1, 1], dtype=np.int64),
+        np.array([1, 1], dtype=np.uint32),
         2,
         1,
     )
     backend.half_counts(
         words,
-        np.array([2, 3], dtype=np.int64),
+        np.array([2, 3], dtype=np.uint32),
         np.array([0], dtype=np.int64),
-        np.array([5], dtype=np.int64),
+        np.array([5], dtype=np.uint32),
         2,
         2,
     )

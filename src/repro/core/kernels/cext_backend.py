@@ -87,11 +87,13 @@ void cell_words(const double *points, int64_t n, int64_t d,
 /* P[j] per group: the group count minus the weights of the children
  * whose field along j is odd (upper half).  Children arrive in group
  * order and a counter walks the groups, so every subscript is a loop
- * or group counter; n_weights == 0 weighs each child 1. */
+ * or group counter; n_weights == 0 weighs each child 1.  The odd
+ * weights of a group never exceed its count, so the uint32 difference
+ * cannot wrap. */
 void half_counts(const uint64_t *child_words, int64_t m, int64_t n_words,
-                 const int64_t *child_counts, int64_t n_weights,
-                 const int64_t *starts, const int64_t *counts,
-                 int64_t n_groups, int64_t d, int64_t width, int64_t *out) {
+                 const uint32_t *child_counts, int64_t n_weights,
+                 const int64_t *starts, const uint32_t *counts,
+                 int64_t n_groups, int64_t d, int64_t width, uint32_t *out) {
     int64_t per_word = 64 / width;
     for (int64_t g = 0; g < n_groups; g++) {
         for (int64_t k = 0; k < d; k++) out[g * d + k] = counts[g];
@@ -100,7 +102,7 @@ void half_counts(const uint64_t *child_words, int64_t m, int64_t n_words,
     int64_t group = 0;
     for (int64_t i = 0; i < m; i++) {
         if (group + 1 < n_groups && i == starts[group + 1]) group += 1;
-        int64_t weight = 1;
+        uint32_t weight = 1;
         if (n_weights > 0) weight = child_counts[i];
         int64_t w = 0;
         int64_t last = per_word < d ? per_word : d;
@@ -112,7 +114,7 @@ void half_counts(const uint64_t *child_words, int64_t m, int64_t n_words,
             }
             uint64_t odd =
                 (child_words[i * n_words + w] >> ((last - 1 - k) * width)) & 1;
-            out[group * d + k] -= (int64_t)odd * weight;
+            out[group * d + k] -= (uint32_t)odd * weight;
         }
     }
 }
@@ -123,15 +125,18 @@ void half_counts(const uint64_t *child_words, int64_t m, int64_t n_words,
  * field's edge) are sorted, so each is found by galloping forward from
  * the previous probe's position and binary-searching the last step;
  * rows compare word by word, first word most significant, and rows are
- * unique, so a compare that finds the probe equal marks the match. */
-void level_responses(const uint64_t *words, const int64_t *counts,
+ * unique, so a compare that finds the probe equal marks the match.
+ * Fields may be wider than the level's grid: a probe past the grid's
+ * last cell stays inside its field and finds no cell (zero-padding). */
+void level_responses(const uint64_t *words, const uint32_t *counts,
                      int64_t m, int64_t n_words,
-                     const uint64_t *row_words, const int64_t *row_counts,
+                     const uint64_t *row_words, const uint32_t *row_counts,
                      int64_t k_rows, int64_t d, int64_t width,
                      int64_t *out) {
     int64_t per_word = 64 / width;
     uint64_t field = ((uint64_t)1 << width) - 1;
-    for (int64_t i = 0; i < k_rows; i++) out[i] = 2 * d * row_counts[i];
+    for (int64_t i = 0; i < k_rows; i++)
+        out[i] = 2 * d * (int64_t)row_counts[i];
     int64_t w = 0;
     int64_t last = per_word < d ? per_word : d;
     for (int64_t axis = 0; axis < d; axis++) {
@@ -180,7 +185,7 @@ void level_responses(const uint64_t *words, const int64_t *counts,
                     if (comparison < 0) low = mid + 1; else high = mid;
                 }
                 j = low;
-                if (hit) out[i] -= counts[j];
+                if (hit) out[i] -= (int64_t)counts[j];
                 if (j >= m) break;
             }
         }
@@ -188,7 +193,7 @@ void level_responses(const uint64_t *words, const int64_t *counts,
 }
 
 /* Only the fields the box binds are unpacked and tested: an axis
- * whose interval is the whole grid cannot reject a cell. */
+ * whose interval is the whole field cannot reject a cell. */
 int64_t box_scan(const uint64_t *words, int64_t m, int64_t n_words,
                  int64_t d, int64_t width, const int64_t *lo,
                  const int64_t *hi, int64_t start, int64_t stop,
@@ -245,13 +250,13 @@ void label_rows(const double *points, int64_t n, int64_t d,
 /* Each face neighbour is the parent's words with the axis's field
  * replaced by target, found by a lower-bound binary search over the
  * word rows. */
-void six_region(const uint64_t *words, const int64_t *counts,
-                const int64_t *half_counts, int64_t m, int64_t n_words,
+void six_region(const uint64_t *words, const uint32_t *counts,
+                const uint32_t *half_counts, int64_t m, int64_t n_words,
                 int64_t d, int64_t width, int64_t position,
                 const int64_t *bits, int64_t *center, int64_t *total) {
     int64_t per_word = 64 / width;
     uint64_t field = ((uint64_t)1 << width) - 1;
-    int64_t parent_n = counts[position];
+    int64_t parent_n = (int64_t)counts[position];
     int64_t w = 0;
     int64_t last = per_word < d ? per_word : d;
     for (int64_t axis = 0; axis < d; axis++) {
@@ -291,11 +296,11 @@ void six_region(const uint64_t *words, const int64_t *counts,
                             | ((uint64_t)target << shift);
                     if (words[low * n_words + k] != b) { equal = 0; break; }
                 }
-                if (equal) neighbors += counts[low];
+                if (equal) neighbors += (int64_t)counts[low];
             }
         }
         total[axis] = parent_n + neighbors;
-        int64_t half = half_counts[position * d + axis];
+        int64_t half = (int64_t)half_counts[position * d + axis];
         center[axis] = (bits[axis] == 0) ? half : parent_n - half;
     }
 }
@@ -362,6 +367,7 @@ _I64P = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _F64P = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _U8P = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 _U64P = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
+_U32P = np.ctypeslib.ndpointer(dtype=np.uint32, flags="C_CONTIGUOUS")
 
 
 def _compiler() -> str | None:
@@ -462,12 +468,12 @@ def load() -> dict[str, Any]:
     ]
     lib.half_counts.restype = None
     lib.half_counts.argtypes = [
-        _U64P, ctypes.c_int64, ctypes.c_int64, _I64P, ctypes.c_int64,
-        _I64P, _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P,
+        _U64P, ctypes.c_int64, ctypes.c_int64, _U32P, ctypes.c_int64,
+        _I64P, _U32P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _U32P,
     ]
     lib.level_responses.restype = None
     lib.level_responses.argtypes = [
-        _U64P, _I64P, ctypes.c_int64, ctypes.c_int64, _U64P, _I64P,
+        _U64P, _U32P, ctypes.c_int64, ctypes.c_int64, _U64P, _U32P,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P,
     ]
     lib.box_scan.restype = ctypes.c_int64
@@ -482,7 +488,7 @@ def load() -> dict[str, Any]:
     ]
     lib.six_region.restype = None
     lib.six_region.argtypes = [
-        _U64P, _I64P, _I64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        _U64P, _U32P, _U32P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_int64, ctypes.c_int64, _I64P, _I64P, _I64P,
     ]
     lib.binom_thetas.restype = None
@@ -511,16 +517,16 @@ def load() -> dict[str, Any]:
 
     def half_counts(
         child_words: AnyArray,
-        child_counts: IntArray | None,
+        child_counts: AnyArray | None,
         starts: IntArray,
-        counts: IntArray,
+        counts: AnyArray,
         d: int,
         width: int,
-    ) -> IntArray:
+    ) -> AnyArray:
         m, n_words = child_words.shape
         n_groups = counts.shape[0]
         weights = (
-            np.empty(0, dtype=np.int64) if child_counts is None else child_counts
+            np.empty(0, dtype=np.uint32) if child_counts is None else child_counts
         )
         # The C loop trusts these shapes for its indexing.
         if not (
@@ -536,12 +542,12 @@ def load() -> dict[str, Any]:
                 f"{starts.shape[0]} starts, {n_groups} groups, {d} axes "
                 f"of width {width}"
             )
-        out = np.empty((n_groups, d), dtype=np.int64)
+        out = np.empty((n_groups, d), dtype=np.uint32)
         lib.half_counts(
             np.ascontiguousarray(child_words, dtype=np.uint64), m, n_words,
-            np.ascontiguousarray(weights, dtype=np.int64), weights.shape[0],
+            np.ascontiguousarray(weights, dtype=np.uint32), weights.shape[0],
             np.ascontiguousarray(starts, dtype=np.int64),
-            np.ascontiguousarray(counts, dtype=np.int64),
+            np.ascontiguousarray(counts, dtype=np.uint32),
             n_groups, d, width, out,
         )
         return out
@@ -555,11 +561,11 @@ def load() -> dict[str, Any]:
         out = np.empty(k_rows, dtype=np.int64)
         lib.level_responses(
             np.ascontiguousarray(level.words, dtype=np.uint64),
-            np.ascontiguousarray(level.n, dtype=np.int64),
+            np.ascontiguousarray(level.n, dtype=np.uint32),
             m, n_words,
             np.ascontiguousarray(row_words, dtype=np.uint64),
-            np.ascontiguousarray(row_counts, dtype=np.int64),
-            k_rows, level.coords.shape[1], level.h, out,
+            np.ascontiguousarray(row_counts, dtype=np.uint32),
+            k_rows, level.d, level.width, out,
         )
         return out
 
@@ -573,7 +579,7 @@ def load() -> dict[str, Any]:
             return out
         found = lib.box_scan(
             np.ascontiguousarray(level.words, dtype=np.uint64), m, n_words,
-            level.coords.shape[1], level.h,
+            level.d, level.width,
             np.ascontiguousarray(lo, dtype=np.int64),
             np.ascontiguousarray(hi, dtype=np.int64),
             start, stop, out,
@@ -606,14 +612,14 @@ def load() -> dict[str, Any]:
         level: Level, row: int, bits: IntArray
     ) -> tuple[IntArray, IntArray]:
         m, n_words = level.words.shape
-        d = level.coords.shape[1]
+        d = level.d
         center = np.empty(d, dtype=np.int64)
         total = np.empty(d, dtype=np.int64)
         lib.six_region(
             np.ascontiguousarray(level.words, dtype=np.uint64),
-            np.ascontiguousarray(level.n, dtype=np.int64),
-            np.ascontiguousarray(level.half_counts, dtype=np.int64),
-            m, n_words, d, level.h,
+            np.ascontiguousarray(level.n, dtype=np.uint32),
+            np.ascontiguousarray(level.half_counts, dtype=np.uint32),
+            m, n_words, d, level.width,
             row, np.ascontiguousarray(bits, dtype=np.int64),
             center, total,
         )

@@ -18,8 +18,8 @@ Five structural facts the kernels exploit:
   axes, and a child's parity along every axis is the lowest bit of
   its field (see :func:`cell_words` and :func:`half_counts`);
 * a level's rows arrive in key order and its packed cell words
-  (``h``-bit fields, axis 0 most significant) compare in that same
-  order, one word at a time; adding or subtracting ``1 << shift``
+  (the tree-wide ``H-1``-bit fields, axis 0 most significant) compare
+  in that same order, one word at a time; adding or subtracting ``1 << shift``
   moves a cell one step along that axis and keeps the order, so the
   face-neighbour probes of a key-ordered subset of cells are found by
   forward galloping searches over one or a few uint64 words per cell,
@@ -112,12 +112,12 @@ def cell_words(points: FloatArray, n_resolutions: int) -> tuple[AnyArray, AnyArr
 
 def half_counts(
     child_words: AnyArray,
-    child_counts: IntArray,
+    child_counts: AnyArray,
     starts: IntArray,
-    counts: IntArray,
+    counts: AnyArray,
     d: int,
     width: int,
-) -> IntArray:
+) -> AnyArray:
     """Half-space counts ``P[j]`` of every group from its children's words.
 
     ``child_words`` are the children's packed words (``width``-bit
@@ -128,11 +128,13 @@ def half_counts(
     children.  ``child_counts`` weighs each child; an empty array
     weighs every child 1 (the children are points).  The groups are
     walked with a counter, so no subscript is read out of the data.
+    Counts are uint32: a group's odd weights never exceed its count,
+    so the difference cannot wrap.
     """
     m, n_words = child_words.shape
     n_groups = counts.shape[0]
     per_word = 64 // width
-    out = np.empty((n_groups, d), dtype=np.int64)
+    out = np.empty((n_groups, d), dtype=np.uint32)
     for g in range(n_groups):
         for k in range(d):
             out[g, k] = counts[g]
@@ -160,9 +162,9 @@ def half_counts(
 
 def level_responses(
     words: AnyArray,
-    counts: IntArray,
+    counts: AnyArray,
     row_words: AnyArray,
-    row_counts: IntArray,
+    row_counts: AnyArray,
     d: int,
     width: int,
 ) -> IntArray:
@@ -171,7 +173,7 @@ def level_responses(
     ``response(c) = 2d·n(c) − Σ_j [n(c−e_j) + n(c+e_j)]`` with empty or
     out-of-grid neighbours contributing zero.  ``words``/``counts`` are
     the whole level's packed cell words (``width``-bit fields, axis 0
-    most significant) and counts; ``row_words``/``row_counts`` are the
+    most significant) and uint32 counts; ``row_words``/``row_counts`` are the
     same arrays gathered at the cells to evaluate, in key order.  The
     probe of row ``i`` along ``axis`` is its words with ``1 << shift``
     added to (``+1``) or subtracted from (``−1``) the word holding that
@@ -183,7 +185,10 @@ def level_responses(
     below the probe, then binary-searches the last step, so a subset
     of ``k`` cells costs ``O(k·log(m/k))`` row compares per search and
     the whole level ``O(m)``.  Rows are unique, so the compare that
-    finds a row equal to the probe marks the match.
+    finds a row equal to the probe marks the match.  A field may be
+    wider than the level's grid; a probe past the grid's last cell then
+    stays inside its field and finds no cell, which is zero-padding.
+    Responses accumulate in int64.
     """
     m, n_words = words.shape
     k_rows = row_words.shape[0]
@@ -191,7 +196,7 @@ def level_responses(
     field = (1 << width) - 1
     responses = np.empty(k_rows, dtype=np.int64)
     for i in range(k_rows):
-        responses[i] = 2 * d * row_counts[i]
+        responses[i] = 2 * d * int(row_counts[i])
     w = 0
     last = per_word if per_word < d else d
     for axis in range(d):
@@ -261,7 +266,7 @@ def level_responses(
                         high = mid
                 j = low
                 if hit:
-                    responses[i] -= counts[j]
+                    responses[i] -= int(counts[j])
                 if j >= m:
                     break
     return responses
@@ -279,7 +284,7 @@ def box_scan(
     """Positions in ``[start, stop)`` whose cell lies inside the box.
 
     ``lo``/``hi`` are the per-axis closed integer coordinate intervals
-    of one β-cluster box; an axis whose interval is the whole grid
+    of one β-cluster box; an axis whose interval is the whole field
     ``[0, 2^width − 1]`` cannot reject a cell, so only the fields the
     box binds are unpacked from ``words`` and tested.  The caller has
     already bounded the candidate range over axis 0 via the key order.
@@ -349,8 +354,8 @@ def label_rows(
 
 def six_region(
     words: AnyArray,
-    counts: IntArray,
-    half_counts: IntArray,
+    counts: AnyArray,
+    half_counts: AnyArray,
     d: int,
     width: int,
     position: int,
@@ -370,7 +375,7 @@ def six_region(
     field = (1 << width) - 1
     center = np.empty(d, dtype=np.int64)
     total = np.empty(d, dtype=np.int64)
-    parent_n = counts[position]
+    parent_n = int(counts[position])
     w = 0
     last = per_word if per_word < d else d
     for axis in range(d):
@@ -416,9 +421,9 @@ def six_region(
                         equal = False
                         break
                 if equal:
-                    neighbors += counts[low]
+                    neighbors += int(counts[low])
         total[axis] = parent_n + neighbors
-        half = half_counts[position, axis]
+        half = int(half_counts[position, axis])
         if bits[axis] == 0:
             center[axis] = half
         else:

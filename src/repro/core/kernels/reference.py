@@ -43,20 +43,21 @@ def cell_words(points: FloatArray, n_resolutions: int) -> tuple[AnyArray, AnyArr
 
 def half_counts(
     child_words: AnyArray,
-    child_counts: IntArray | None,
+    child_counts: AnyArray | None,
     starts: IntArray,
-    counts: IntArray,
+    counts: AnyArray,
     d: int,
     width: int,
-) -> IntArray:
+) -> AnyArray:
     """Half-space counts ``P[j]`` of each group, one ``reduceat`` per axis.
 
     A child whose field along ``e_j`` is odd sits in the upper half of
     its parent, so ``P[j]`` is the group count minus the count-weighted
     number of odd children; ``child_counts=None`` weighs every child 1.
+    The sums run in int64 and land in the uint32 result exactly.
     """
     _, word, shift = _field_layout(d, width)
-    halves = np.empty((counts.shape[0], d), dtype=np.int64)
+    halves = np.empty((counts.shape[0], d), dtype=np.uint32)
     for axis in range(d):
         odd = (child_words[:, word[axis]] >> shift[axis]) & np.uint64(1)
         # Reinterpreting the 0/1 bits as int64 is exact.
@@ -71,7 +72,10 @@ def level_responses(level: Level, rows: IntArray) -> IntArray:
     """Laplacian responses at ``rows`` (vectorised searchsorted joins).
 
     Only the probes of the requested cells are built and joined, so
-    the cost follows ``rows``, not the level.
+    the cost follows ``rows``, not the level.  The joins run on the
+    level's derived :attr:`~repro.core.counting_tree.Level.coords` and
+    void :attr:`~repro.core.counting_tree.Level.keys`, independent of
+    the packed words the compiled kernels search.
     """
     m, d = level.coords.shape
     coords = level.coords[rows]
@@ -148,7 +152,7 @@ def six_region(
         found = level.keys[positions] == queries
         neighbors[np.flatnonzero(valid)[found]] = level.n[positions[found]]
     total = parent_n + neighbors[0::2] + neighbors[1::2]
-    half = level.half_counts[row]
+    half = level.half_counts[row].astype(np.int64)
     center = np.where(bits == 0, half, parent_n - half).astype(np.int64)
     return center, total.astype(np.int64)
 

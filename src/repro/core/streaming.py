@@ -29,6 +29,8 @@ from repro.core.counting_tree import (
     CountingTree,
     Level,
     LevelArrays,
+    _field_layout,
+    check_point_count,
     level_arrays,
     level_from_arrays,
     merge_level_arrays,
@@ -48,7 +50,8 @@ class TreeStreamBuilder:
     survivable instead of silently corrupting the tree.
 
     Aggregates are held per level as key-sorted structure-of-arrays
-    triples (:data:`~repro.core.counting_tree.LevelArrays`), the same
+    triples of packed cell words and uint32 counts
+    (:data:`~repro.core.counting_tree.LevelArrays`), the same
     canonical form every tree builder produces; each absorb is a
     key-grouped sum (:func:`~repro.core.counting_tree.merge_level_arrays`),
     which makes the builder double as the reduce primitive of the
@@ -60,8 +63,8 @@ class TreeStreamBuilder:
             raise ValueError(f"n_resolutions must be >= {MIN_RESOLUTIONS}")
         if n_resolutions > MAX_RESOLUTIONS:
             raise ContractError(
-                f"n_resolutions must be <= {MAX_RESOLUTIONS}: level "
-                f"coordinates must fit the uint32 cell-key packing"
+                f"n_resolutions must be <= {MAX_RESOLUTIONS}: cell "
+                f"words hold one (n_resolutions - 1)-bit field per axis"
             )
         self._n_resolutions = n_resolutions
         self._stores: dict[int, LevelArrays] = {}
@@ -83,7 +86,8 @@ class TreeStreamBuilder:
         """Merge one ``(m_i, d)`` chunk with values in ``[0, 1)``.
 
         Raises (``ContractError``/``ValueError``) *before* mutating any
-        state when the chunk is invalid.
+        state when the chunk is invalid, or when it would take the tree
+        past :data:`~repro.core.counting_tree.MAX_POINTS` points.
         """
         chunk = np.asarray(chunk, dtype=np.float64)
         check_array(
@@ -97,6 +101,7 @@ class TreeStreamBuilder:
             return
         if self._d is not None and chunk.shape[1] != self._d:
             raise ValueError("all chunks must share the same dimensionality")
+        check_point_count(self._n_points + chunk.shape[0])
         obs.incr("stream.chunks")
         obs.incr("stream.points", int(chunk.shape[0]))
         arrays = level_arrays(chunk, self._n_resolutions)
@@ -122,11 +127,18 @@ class TreeStreamBuilder:
                 f"partial tree covers levels {sorted(arrays)}, "
                 f"expected {sorted(expected)}"
             )
-        d = int(arrays[1][0].shape[1])
+        d = int(arrays[1][2].shape[1])
         if self._d is not None and d != self._d:
             raise ValueError("all chunks must share the same dimensionality")
         if n_points <= 0:
             raise ValueError("a partial tree must cover at least one point")
+        n_words = _field_layout(d, self._n_resolutions - 1)[0]
+        if any(arrays[h][0].shape[1:] != (n_words,) for h in expected):
+            raise ValueError(
+                f"partial tree words must be {n_words} uint64 words a cell "
+                f"for {d} axes at n_resolutions={self._n_resolutions}"
+            )
+        check_point_count(self._n_points + n_points)
         merged = {
             h: (
                 merge_level_arrays(self._stores[h], arrays[h])
@@ -146,7 +158,9 @@ class TreeStreamBuilder:
             raise ValueError("the stream delivered no points")
         levels: dict[int, Level] = {}
         for h in range(1, self._n_resolutions):
-            levels[h] = level_from_arrays(h, self._stores[h])
+            levels[h] = level_from_arrays(
+                h, self._n_resolutions - 1, self._stores[h]
+            )
             obs.incr(f"tree.level{h}.cells", levels[h].n_cells)
         return levels
 

@@ -29,13 +29,18 @@ import numpy as np
 
 from repro import obs
 from repro.core.beta_cluster import BetaCluster
-from repro.core.contracts import check_array, check_labels
+from repro.core.contracts import ContractError, check_array, check_labels
 from repro.core.correlation_cluster import (
     assemble_result,
     label_points,
     merge_beta_clusters,
 )
-from repro.core.counting_tree import CountingTree, Level, tree_from_levels
+from repro.core.counting_tree import (
+    CountingTree,
+    Level,
+    _field_layout,
+    tree_from_levels,
+)
 from repro.core.mrcc import MrCC
 from repro.data.normalize import apply_minmax
 from repro.serve.store import ModelFormatError, read_model, write_model
@@ -211,12 +216,11 @@ def save_model(model: FittedModel | MrCC, path: str | Path) -> Path:
     )
     for h in sorted(model.levels):
         level = model.levels[h]
-        arrays.append((f"level{h}/coords", level.coords.astype("<i8", copy=False)))
-        arrays.append((f"level{h}/counts", level.n.astype("<i8", copy=False)))
+        arrays.append((f"level{h}/words", np.asarray(level.words, dtype="<u8")))
+        arrays.append((f"level{h}/counts", np.asarray(level.n, dtype="<u4")))
         arrays.append(
-            (f"level{h}/half_counts", level.half_counts.astype("<i8", copy=False))
+            (f"level{h}/half_counts", np.asarray(level.half_counts, dtype="<u4"))
         )
-        arrays.append((f"level{h}/keys", np.asarray(level.keys)))
 
     with obs.span("serve.save"):
         write_model(path, model.meta, arrays)
@@ -264,7 +268,7 @@ def load_model(path: str | Path, mmap: bool = True) -> FittedModel:
         _meta_int(path, meta, "n_points", minimum=1)
         n_betas = _meta_int(path, meta, "n_betas", minimum=0)
 
-        expected = _expected_arrays(meta, n_resolutions)
+        expected = _expected_arrays(meta, n_resolutions, header["schema"])
         if set(data) != set(expected):
             missing = sorted(set(expected) - set(data))
             extra = sorted(set(data) - set(expected))
@@ -274,7 +278,10 @@ def load_model(path: str | Path, mmap: bool = True) -> FittedModel:
             )
 
         betas = _betas_from_arrays(path, data, n_betas, d)
-        levels = _levels_from_arrays(path, data, n_resolutions, d)
+        if header["schema"] == 1:
+            levels = _levels_from_v1_arrays(path, data, n_resolutions, d)
+        else:
+            levels = _levels_from_arrays(path, data, n_resolutions, d)
         normalizer = None
         if meta["normalize"]:
             lo, span = data["norm/lo"], data["norm/span"]
@@ -305,7 +312,9 @@ def _meta_int(path: Path, meta: dict[str, Any], key: str, minimum: int) -> int:
     return value
 
 
-def _expected_arrays(meta: dict[str, Any], n_resolutions: int) -> list[str]:
+def _expected_arrays(
+    meta: dict[str, Any], n_resolutions: int, schema: int
+) -> list[str]:
     names = []
     if meta["normalize"]:
         names += ["norm/lo", "norm/span"]
@@ -317,13 +326,13 @@ def _expected_arrays(meta: dict[str, Any], n_resolutions: int) -> list[str]:
         "betas/level",
         "betas/center_row",
     ]
+    fields = (
+        ("coords", "counts", "half_counts", "keys")
+        if schema == 1
+        else ("words", "counts", "half_counts")
+    )
     for h in range(1, n_resolutions):
-        names += [
-            f"level{h}/coords",
-            f"level{h}/counts",
-            f"level{h}/half_counts",
-            f"level{h}/keys",
-        ]
+        names += [f"level{h}/{name}" for name in fields]
     return names
 
 
@@ -362,32 +371,75 @@ def _betas_from_arrays(
 def _levels_from_arrays(
     path: Path, data: dict[str, np.ndarray], n_resolutions: int, d: int
 ) -> dict[int, Level]:
+    """Schema-v2 levels: the stored words and counts, as they are.
+
+    Over a memmap the level arrays stay read-only views of the file.
+    """
+    width = n_resolutions - 1
+    n_words = _field_layout(d, width)[0]
+    levels: dict[int, Level] = {}
+    for h in range(1, n_resolutions):
+        words = data[f"level{h}/words"]
+        counts = data[f"level{h}/counts"]
+        halves = data[f"level{h}/half_counts"]
+        m = words.shape[0]
+        if words.dtype != np.uint64 or words.shape[1:] != (n_words,):
+            raise ModelFormatError(
+                f"{path}: level{h}/words must be (m, {n_words}) uint64, got "
+                f"{words.shape} {words.dtype}"
+            )
+        if counts.dtype != np.uint32 or halves.dtype != np.uint32:
+            raise ModelFormatError(
+                f"{path}: level{h} counts/half_counts must be uint32"
+            )
+        _check_level_shapes(path, h, m, d, counts, halves)
+        levels[h] = Level(
+            h=h, width=width, words=words, n=counts, half_counts=halves
+        )
+    return levels
+
+
+def _levels_from_v1_arrays(
+    path: Path, data: dict[str, np.ndarray], n_resolutions: int, d: int
+) -> dict[int, Level]:
+    """Schema-v1 levels: int64 coordinates and counts, packed once.
+
+    The coordinates are packed into the tree-wide ``H-1``-bit words and
+    the counts narrowed to uint32; a coordinate off the level's grid or
+    a count uint32 cannot hold is a corrupt file.  The stored void keys
+    are not read: the oracle derives its own.
+    """
     levels: dict[int, Level] = {}
     for h in range(1, n_resolutions):
         coords = data[f"level{h}/coords"]
         counts = data[f"level{h}/counts"]
         halves = data[f"level{h}/half_counts"]
-        keys = data[f"level{h}/keys"]
         m = coords.shape[0]
-        if coords.ndim != 2 or coords.shape[1] != d:
+        if coords.dtype != np.int64 or coords.ndim != 2 or coords.shape[1] != d:
             raise ModelFormatError(
-                f"{path}: level{h}/coords must have shape (m, {d}), got "
-                f"{coords.shape}"
+                f"{path}: level{h}/coords must be (m, {d}) int64, got "
+                f"{coords.shape} {coords.dtype}"
             )
-        if counts.shape != (m,) or halves.shape != (m, d):
-            raise ModelFormatError(
-                f"{path}: level{h} counts/half_counts rows disagree with "
-                f"coords ({m} cells)"
+        _check_level_shapes(path, h, m, d, counts, halves)
+        try:
+            levels[h] = Level.from_coords(
+                h, coords, counts, halves, width=n_resolutions - 1
             )
-        if keys.shape != (m,) or keys.dtype.itemsize != 4 * d:
-            raise ModelFormatError(
-                f"{path}: level{h}/keys must be {m} packed {4 * d}-byte "
-                f"keys, got shape {keys.shape} itemsize {keys.dtype.itemsize}"
-            )
-        if m == 0:
-            raise ModelFormatError(
-                f"{path}: level{h} stores zero cells (a fitted tree "
-                f"always has at least one populated cell per level)"
-            )
-        levels[h] = Level.from_key_sorted(h, coords, counts, halves, keys=keys)
+        except ContractError as error:
+            raise ModelFormatError(f"{path}: level{h}: {error}") from error
     return levels
+
+
+def _check_level_shapes(
+    path: Path, h: int, m: int, d: int, counts: np.ndarray, halves: np.ndarray
+) -> None:
+    if counts.shape != (m,) or halves.shape != (m, d):
+        raise ModelFormatError(
+            f"{path}: level{h} counts/half_counts rows disagree with "
+            f"its {m} cells"
+        )
+    if m == 0:
+        raise ModelFormatError(
+            f"{path}: level{h} stores zero cells (a fitted tree "
+            f"always has at least one populated cell per level)"
+        )

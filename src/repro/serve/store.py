@@ -2,14 +2,15 @@
 
 A *model file* is the durable serving artifact of a fitted MrCC
 estimator: the Counting-tree level arrays (the key-sorted
-structure-of-arrays layout every builder produces), the β-cluster
-records, the normalisation parameters and the fit metadata.  The layout
+structure-of-arrays layout every builder produces: packed uint64 cell
+words and uint32 counts), the β-cluster records, the normalisation
+parameters and the fit metadata.  The layout
 is designed for ``np.memmap``: a tiny JSON header followed by raw
 little-endian array sections, each aligned to 64 bytes, so N serving
 workers can open the same file read-only and share one page cache copy
 of the tree — near-zero per-worker resident set.
 
-Layout (schema v1)::
+Layout (schema v2; v1 shares it)::
 
     offset 0   magic  b"REPROMDL"            (8 bytes)
     offset 8   header length, uint64 LE      (8 bytes)
@@ -24,6 +25,13 @@ shape, offset relative to the data section, byte count per array).
 Array offsets are relative to the data section — whose start the reader
 derives as the first 64-byte boundary at or after the header — so the
 header never has to describe its own length.
+
+Schema v2 stores each tree level as ``level{h}/words`` (``<u8``,
+``(m, n_words)``), ``level{h}/counts`` and ``level{h}/half_counts``
+(``<u4``).  Schema v1 stored ``<i8`` coordinates and counts plus
+``|V{4d}`` void keys; the reader still admits v1 files and
+:func:`repro.serve.model.load_model` packs their coordinates into
+words once.  The writer always writes the current schema.
 
 Like ``obs.schema`` and the fabric journal, the format is strictly
 validated: wrong magic, a foreign schema version, a non-little byte
@@ -45,6 +53,7 @@ import numpy as np
 __all__ = [
     "MODEL_MAGIC",
     "MODEL_SCHEMA_VERSION",
+    "READABLE_SCHEMAS",
     "ArraySection",
     "ModelFormatError",
     "read_model",
@@ -52,7 +61,10 @@ __all__ = [
 ]
 
 MODEL_MAGIC = b"REPROMDL"
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
+
+READABLE_SCHEMAS = frozenset({1, 2})
+"""Schema versions :func:`read_model` accepts: the current one and v1."""
 
 _ALIGNMENT = 64
 """Array sections start on cache-line boundaries so memmapped views are
@@ -61,9 +73,9 @@ aligned for every dtype the format carries."""
 _HEADER_KEYS = frozenset({"schema", "generated_by", "byte_order", "meta", "arrays"})
 _ARRAY_KEYS = frozenset({"name", "dtype", "shape", "offset", "nbytes"})
 
-_SCALAR_DTYPES = frozenset({"<i8", "<f8", "|b1"})
+_SCALAR_DTYPES = frozenset({"<i8", "<u8", "<u4", "<f8", "|b1"})
 """Fixed little-endian dtypes the format admits, plus ``|V{n}`` void
-rows for packed cell keys (validated separately)."""
+rows for the packed cell keys of v1 files (validated separately)."""
 
 
 class ModelFormatError(ValueError):
@@ -87,8 +99,8 @@ def _dtype_token(dtype: np.dtype) -> str:
         token = "<i8"
     if token not in _SCALAR_DTYPES:
         raise ModelFormatError(
-            f"model arrays must be little-endian int64/float64/bool or "
-            f"void keys, got dtype {dtype.str!r}"
+            f"model arrays must be little-endian int64/uint64/uint32/"
+            f"float64/bool or void keys, got dtype {dtype.str!r}"
         )
     return token
 
@@ -108,7 +120,7 @@ def _parse_dtype(token: str, name: str) -> np.dtype:
             return np.dtype((np.void, width))
     _fail(
         f"array {name!r}: dtype {token!r} is not an admissible model "
-        f"dtype (little-endian <i8/<f8, |b1, or |V<width> keys); a "
+        f"dtype (little-endian <i8/<u8/<u4/<f8, |b1, or |V<width> keys); a "
         f"big-endian or foreign dtype means the file was written by an "
         f"incompatible producer"
     )
@@ -206,10 +218,13 @@ def _validate_header(payload: Any, path: Path) -> dict[str, Any]:
             f"{path}: model header keys mismatch: expected "
             f"{sorted(_HEADER_KEYS)}, got {sorted(payload)}"
         )
-    if payload["schema"] != MODEL_SCHEMA_VERSION:
+    if payload["schema"] not in READABLE_SCHEMAS or isinstance(
+        payload["schema"], bool
+    ):
         _fail(
-            f"{path}: model schema must be {MODEL_SCHEMA_VERSION}, got "
-            f"{payload['schema']!r} (written by an incompatible version)"
+            f"{path}: model schema must be one of "
+            f"{sorted(READABLE_SCHEMAS)}, got {payload['schema']!r} "
+            f"(written by an incompatible version)"
         )
     if payload["generated_by"] != "repro.serve":
         _fail(
@@ -276,7 +291,8 @@ def read_model(
     releases the file immediately (the fit/tooling path).
 
     Raises :class:`ModelFormatError` for anything that is not a valid
-    schema-v1 model file, including a vanished or truncated file.
+    model file of a readable schema, including a vanished or truncated
+    file.
     """
     path = Path(path)
     try:

@@ -234,7 +234,7 @@ def small_levels(draw):
     coords = np.unique(rng.integers(0, 1 << h, size=(m, d)), axis=0)
     counts = rng.integers(1, 4, size=coords.shape[0]).astype(np.int64)
     halves = np.zeros(coords.shape, dtype=np.int64)
-    return Level.from_key_sorted(h, coords.astype(np.int64), counts, halves)
+    return Level.from_coords(h, coords, counts, halves)
 
 
 def _picks_of_the_whole_level(level, n_picks, seed):

@@ -8,11 +8,14 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.contracts import ContractError
 from repro.core.kernels import available_backends, get_backend
+from repro.core import counting_tree
 from repro.core.counting_tree import (
     CountingTree,
+    Level,
     _field_layout,
     _unpack_words,
     aggregate_levels,
+    level_arrays,
     merge_level_arrays,
     reference_levels,
     void_keys,
@@ -118,12 +121,11 @@ class TestNeighborsAndBounds:
         tree = _tree(points, H=3)
         level2 = tree.level(2)
         row = level2.row_of(np.array([0, 0]))
-        lower, upper = level2.neighbor_rows(row, 0)
-        assert lower == -1  # grid border
-        assert upper == level2.row_of(np.array([1, 0]))
-        lower, upper = level2.neighbor_rows(row, 1)
-        assert lower == -1
-        assert upper == -1  # empty space
+        lower, upper = level2.neighbor_rows(row, np.array([0, 1]))
+        assert lower[0] == -1  # grid border
+        assert upper[0] == level2.row_of(np.array([1, 0]))
+        assert lower[1] == -1
+        assert upper[1] == -1  # empty space
 
     def test_bounds(self):
         tree = _tree([[0.3, 0.8]])
@@ -163,10 +165,13 @@ class TestLevelWords:
         for h in tree.levels:
             level = tree.level(h)
             words = level.words
-            assert words is level.words
+            # Every level packs the tree-wide (H-1)-bit fields.
+            assert level.width == H - 1
             assert words.dtype == np.uint64
-            assert words.shape == (level.n_cells, _field_layout(d, h)[0])
-            np.testing.assert_array_equal(_unpack_words(words, d, h), level.coords)
+            assert words.shape == (level.n_cells, _field_layout(d, H - 1)[0])
+            coords = _unpack_words(words, d, H - 1)
+            assert int(coords.max()) < 1 << h
+            np.testing.assert_array_equal(coords, level.coords)
             # Each row exceeds the previous at its first differing word.
             differ = words[1:] != words[:-1]
             assert np.all(differ.any(axis=1)), h
@@ -326,7 +331,8 @@ def _assert_levels_identical(actual, expected):
     assert sorted(actual) == sorted(expected)
     for h in expected:
         a, e = actual[h], expected[h]
-        for name in ("coords", "n", "half_counts"):
+        assert a.width == e.width, h
+        for name in ("words", "n", "half_counts", "coords"):
             got, want = getattr(a, name), getattr(e, name)
             assert got.dtype == want.dtype, (h, name)
             assert np.array_equal(got, want), (h, name)
@@ -367,7 +373,7 @@ class TestPackedWordGrouping:
         original = aggregate_levels(points, n_resolutions)
         permuted = aggregate_levels(points[order], n_resolutions)
         for h in original:
-            for name in ("coords", "n", "half_counts"):
+            for name in ("words", "n", "half_counts"):
                 assert np.array_equal(
                     getattr(permuted[h], name), getattr(original[h], name)
                 ), (h, name)
@@ -380,14 +386,14 @@ class TestPackedWordGrouping:
 
     def test_negative_coordinates_raise_contract_error(self):
         # Binning clamps into the grid, so negative coordinates can only
-        # arrive as pre-aggregated arrays; the word packer rejects them.
-        cells = (
-            np.array([[-2, 0]], dtype=np.int64),
-            np.array([1], dtype=np.int64),
-            np.array([[1, 1]], dtype=np.int64),
-        )
+        # arrive as hand-built levels; the word packer rejects them.
         with pytest.raises(ContractError, match="non-negative"):
-            merge_level_arrays(cells, cells)
+            Level.from_coords(
+                2,
+                np.array([[-2, 0]], dtype=np.int64),
+                np.array([1], dtype=np.uint32),
+                np.array([[1, 1]], dtype=np.uint32),
+            )
 
 
 COMPILED_BACKENDS = [
@@ -471,3 +477,120 @@ class TestCompiledTreeBuild:
         _assert_levels_identical(built[backend], expected)
         _assert_levels_identical(built["numpy"], expected)
         assert built[backend][5].n.tolist() == [1, 2, 1]
+
+
+class TestLeanLevel:
+    """A level stores its words and uint32 counts, nothing else."""
+
+    @pytest.mark.parametrize("d, H", [(3, 4), (15, 5), (40, 6)])
+    def test_level_bytes_are_words_plus_uint32_counts(self, d, H):
+        rng = np.random.default_rng(d)
+        tree = _tree(rng.random((500, d)), H=H)
+        n_words = _field_layout(d, H - 1)[0]
+        for h in tree.levels:
+            level = tree.level(h)
+            m = level.n_cells
+            assert level.n.dtype == level.half_counts.dtype == np.uint32
+            stored = level.words.nbytes + level.n.nbytes + level.half_counts.nbytes
+            assert stored == m * (8 * n_words + 4 + 4 * d)
+            # The oracle views are derived only on demand.
+            assert level._coords is None and level._keys is None
+
+    def test_derived_views_are_cached_and_read_only(self):
+        level = _tree(np.random.default_rng(1).random((50, 3))).level(2)
+        coords = level.coords
+        assert coords is level.coords
+        assert level.keys is level.keys
+        assert not coords.flags.writeable
+
+    @pytest.mark.parametrize("d, H", [(3, 4), (40, 6)])
+    def test_word_lookups_agree_with_coordinates(self, d, H):
+        rng = np.random.default_rng(2)
+        tree = _tree(rng.random((400, d)) * 0.5 + 0.25, H=H)
+        for h in tree.levels:
+            level = tree.level(h)
+            coords = level.coords
+            np.testing.assert_array_equal(
+                level.rows_of(coords), np.arange(level.n_cells)
+            )
+            some = np.arange(3) % level.n_cells
+            np.testing.assert_array_equal(level.coords_of(some), coords[some])
+            row = int(rng.integers(0, level.n_cells))
+            axes = np.arange(d)
+            lower, upper = level.neighbor_rows(row, axes)
+            for axis in axes:
+                probe = coords[row].copy()
+                probe[axis] -= 1
+                assert lower[axis] == level.row_of(probe)
+                probe[axis] += 2
+                assert upper[axis] == level.row_of(probe)
+            if h >= 2:
+                parent = tree.parent_row(h, row)
+                np.testing.assert_array_equal(
+                    tree.level(h - 1).coords[parent], coords[row] >> 1
+                )
+
+    def test_out_of_grid_queries_find_no_cell(self):
+        # Level 2 of an H=5 tree packs 4-bit fields: coordinate 4 fits a
+        # field but lies off the 4x4 grid, and 16 would wrap a field.
+        tree = _tree(np.array([[0.1, 0.1], [0.9, 0.9]]), H=5)
+        level = tree.level(2)
+        assert level.width == 4
+        queries = np.array([[3, 3], [4, 3], [16, 3], [-1, 3], [0, 0]])
+        assert level.rows_of(queries).tolist() == [1, -1, -1, -1, 0]
+
+
+class TestPointLimit:
+    """Counts are uint32: past MAX_POINTS points every builder refuses."""
+
+    @pytest.fixture()
+    def limit_of_five(self, monkeypatch):
+        monkeypatch.setattr(counting_tree, "MAX_POINTS", 5)
+
+    def test_tree_refuses_more_points(self, limit_of_five):
+        points = np.random.default_rng(0).random((6, 2))
+        with pytest.raises(ContractError, match="at most 5 points"):
+            CountingTree(points, n_resolutions=3)
+        assert CountingTree(points[:5], n_resolutions=3).n_points == 5
+
+    def test_stream_absorb_refuses_and_stays_unchanged(self, limit_of_five):
+        from repro.core.streaming import TreeStreamBuilder
+
+        rng = np.random.default_rng(1)
+        builder = TreeStreamBuilder(n_resolutions=3)
+        builder.absorb(rng.random((4, 2)))
+        before = builder.build()
+        with pytest.raises(ContractError, match="at most 5 points"):
+            builder.absorb(rng.random((2, 2)))
+        assert (builder.n_points, builder.n_chunks) == (4, 1)
+        _assert_levels_identical(
+            {h: builder.build().level(h) for h in before.levels},
+            {h: before.level(h) for h in before.levels},
+        )
+
+    def test_stream_absorb_arrays_refuses_and_stays_unchanged(
+        self, limit_of_five
+    ):
+        from repro.core.streaming import TreeStreamBuilder
+
+        rng = np.random.default_rng(2)
+        builder = TreeStreamBuilder(n_resolutions=3)
+        builder.absorb_arrays(level_arrays(rng.random((3, 2)), 3), n_points=3)
+        before = builder.build()
+        partial = level_arrays(rng.random((3, 2)), 3)
+        with pytest.raises(ContractError, match="at most 5 points"):
+            builder.absorb_arrays(partial, n_points=3)
+        assert (builder.n_points, builder.n_chunks) == (3, 1)
+        _assert_levels_identical(
+            {h: builder.build().level(h) for h in before.levels},
+            {h: before.level(h) for h in before.levels},
+        )
+
+    def test_hand_built_counts_past_the_limit_are_refused(self, limit_of_five):
+        with pytest.raises(ContractError, match="uint32"):
+            Level.from_coords(
+                1,
+                np.array([[0, 1]], dtype=np.int64),
+                np.array([6], dtype=np.int64),
+                np.array([[3, 3]], dtype=np.int64),
+            )

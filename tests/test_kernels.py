@@ -55,7 +55,7 @@ class _LoopsAdapter:
     @staticmethod
     def half_counts(child_words, child_counts, starts, counts, d, width):
         if child_counts is None:
-            child_counts = np.empty(0, dtype=np.int64)
+            child_counts = np.empty(0, dtype=np.uint32)
         return loops.half_counts(
             child_words, child_counts, starts, counts, d, width
         )
@@ -64,13 +64,13 @@ class _LoopsAdapter:
     def level_responses(level, rows):
         return loops.level_responses(
             level.words, level.n, level.words[rows], level.n[rows],
-            level.coords.shape[1], level.h,
+            level.d, level.width,
         )
 
     @staticmethod
     def box_scan(level, lo, hi, start, stop):
         return loops.box_scan(
-            level.words, level.coords.shape[1], level.h, lo, hi, start, stop
+            level.words, level.d, level.width, lo, hi, start, stop
         )
 
     @staticmethod
@@ -80,8 +80,8 @@ class _LoopsAdapter:
     @staticmethod
     def six_region(level, row, bits):
         return loops.six_region(
-            level.words, level.n, level.half_counts, level.coords.shape[1],
-            level.h, row, bits,
+            level.words, level.n, level.half_counts, level.d,
+            level.width, row, bits,
         )
 
     @staticmethod
@@ -100,14 +100,15 @@ def every_row(level):
     return np.arange(level.n_cells, dtype=np.int64)
 
 
-def walk_level(seed, d, h, m):
+def walk_level(seed, d, h, m, width=None):
     """A key-sorted :class:`Level` of at most ``m`` cells at level ``h``.
 
     The cells are a random walk of face steps inside a window of four
     coordinates per axis, so face neighbours are common at every ``h``;
     each axis's window sits at coordinate 0, at the last coordinate
     ``2**h - 1`` or anywhere between.  Counts and half-space counts are
-    random but valid.
+    random but valid.  The words pack ``width``-bit fields (default
+    ``h``); a tree's coarser levels pack fields wider than their grid.
     """
     rng = np.random.default_rng(seed)
     limit = (1 << h) - 1
@@ -128,25 +129,26 @@ def walk_level(seed, d, h, m):
     # np.unique(axis=0) sorts rows lexicographically, which coincides
     # with the big-endian void-key order the kernels require.
     coords = np.unique(np.array(rows, dtype=np.int64), axis=0)
-    counts = rng.integers(1, 50, size=coords.shape[0]).astype(np.int64)
-    half_counts = rng.integers(
-        0, counts[:, None] + 1, size=(coords.shape[0], d)
-    ).astype(np.int64)
-    return Level.from_key_sorted(h, coords, counts, half_counts)
+    counts = rng.integers(1, 50, size=coords.shape[0])
+    half_counts = rng.integers(0, counts[:, None] + 1, size=(coords.shape[0], d))
+    return Level.from_coords(h, coords, counts, half_counts, width=width)
 
 
 @st.composite
 def level_views(draw):
     """A :func:`walk_level` with ``d`` up to 40 and ``h`` up to 31.
 
-    The ``h``-bit word layout then spans one word, two, or up to
-    twenty (two axes a word at ``h >= 22``).
+    The fields are ``h`` bits wide or wider, up to 31, as at a tree's
+    coarser levels; the word layout then spans one word, two, or up to
+    twenty (two axes a word at widths of 22 or more).
     """
+    h = draw(st.integers(1, 31))
     return walk_level(
         draw(st.integers(0, 10_000)),
         draw(st.integers(1, 40)),
-        draw(st.integers(1, 31)),
+        h,
         draw(st.integers(1, 40)),
+        width=draw(st.integers(h, 31)),
     )
 
 
@@ -158,6 +160,9 @@ ONE_AXIS_LEVEL = walk_level(1, 1, 31, 30)
 TWO_WORD_LEVEL = walk_level(2, 20, 4, 40)
 THREE_WORD_LEVEL = walk_level(3, 40, 5, 40)
 DENSE_LEVEL = walk_level(4, 3, 2, 60)
+# The dense grid again in a tree's wider fields: probes past the grid's
+# last coordinate stay inside their field and must find no cell.
+WIDE_FIELD_LEVEL = walk_level(4, 3, 2, 60, width=5)
 
 
 def test_explicit_levels_cover_word_layouts():
@@ -166,7 +171,11 @@ def test_explicit_levels_cover_word_layouts():
     assert TWO_WORD_LEVEL.words.shape[1] == 2
     assert THREE_WORD_LEVEL.words.shape[1] >= 3
     assert DENSE_LEVEL.n_cells > 16
-    levels = (ONE_AXIS_LEVEL, TWO_WORD_LEVEL, THREE_WORD_LEVEL, DENSE_LEVEL)
+    assert WIDE_FIELD_LEVEL.width > WIDE_FIELD_LEVEL.h
+    levels = (
+        ONE_AXIS_LEVEL, TWO_WORD_LEVEL, THREE_WORD_LEVEL, DENSE_LEVEL,
+        WIDE_FIELD_LEVEL,
+    )
     for level in levels:
         assert int(level.coords.max()) == _limit(level)
         # Face neighbours exist, so the merges and searches match rows.
@@ -252,11 +261,13 @@ def half_count_problems(draw):
     if m == 0:
         starts = np.empty(0, dtype=np.int64)
     child_counts = (
-        None if point_level else rng.integers(1, 1000, size=m).astype(np.int64)
+        None if point_level else rng.integers(1, 1000, size=m).astype(np.uint32)
     )
-    weights = np.ones(m, dtype=np.int64) if child_counts is None else child_counts
+    weights = np.ones(m, dtype=np.uint32) if child_counts is None else child_counts
     counts = (
-        np.add.reduceat(weights, starts) if m else np.empty(0, dtype=np.int64)
+        np.add.reduceat(weights, starts, dtype=np.uint32)
+        if m
+        else np.empty(0, dtype=np.uint32)
     )
     return child_words, child_counts, starts, counts, d, width
 
@@ -455,6 +466,7 @@ class TestKernelEquivalence:
     @example(level=TWO_WORD_LEVEL)
     @example(level=THREE_WORD_LEVEL)
     @example(level=DENSE_LEVEL)
+    @example(level=WIDE_FIELD_LEVEL)
     @settings(max_examples=40, deadline=None)
     def test_level_responses_bit_identical(self, name, level):
         impl = implementation(name)
@@ -469,6 +481,7 @@ class TestKernelEquivalence:
     @example(level=TWO_WORD_LEVEL, seed=1)
     @example(level=THREE_WORD_LEVEL, seed=2)
     @example(level=DENSE_LEVEL, seed=3)
+    @example(level=WIDE_FIELD_LEVEL, seed=4)
     @settings(max_examples=40, deadline=None)
     def test_box_scan_bit_identical(self, name, level, seed):
         impl = implementation(name)
@@ -498,6 +511,7 @@ class TestKernelEquivalence:
     @example(level=TWO_WORD_LEVEL, seed=1)
     @example(level=THREE_WORD_LEVEL, seed=2)
     @example(level=DENSE_LEVEL, seed=3)
+    @example(level=WIDE_FIELD_LEVEL, seed=4)
     @settings(max_examples=40, deadline=None)
     def test_six_region_bit_identical(self, name, level, seed):
         impl = implementation(name)
@@ -529,7 +543,7 @@ class TestKernelEquivalence:
         expected = reference.half_counts(
             child_words, child_counts, starts, counts, d, width
         )
-        assert halves.dtype == np.int64
+        assert halves.dtype == expected.dtype == np.uint32
         np.testing.assert_array_equal(halves, expected)
 
     @given(problem=label_problems())
@@ -590,8 +604,9 @@ class TestLevelResponsesAtRows:
 
     @pytest.mark.parametrize(
         "level",
-        [TWO_WORD_LEVEL, THREE_WORD_LEVEL, DENSE_LEVEL, ONE_AXIS_LEVEL],
-        ids=["two_words", "three_words", "dense", "one_axis"],
+        [TWO_WORD_LEVEL, THREE_WORD_LEVEL, DENSE_LEVEL, ONE_AXIS_LEVEL,
+         WIDE_FIELD_LEVEL],
+        ids=["two_words", "three_words", "dense", "one_axis", "wide_field"],
     )
     def test_empty_single_first_last_and_border_rows(self, name, level):
         m = level.n_cells

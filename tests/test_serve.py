@@ -5,7 +5,8 @@ The suite proves the serving contract from four sides:
 * **Golden fixtures** — the committed model binaries label their pinned
   suites to the exact label SHA the original fit produced, and
   re-serializing today's fit reproduces the committed file bytes
-  (byte-stability), for every compute backend on this machine.
+  (byte-stability), for every compute backend on this machine; the
+  frozen schema-v1 binaries still load and label the same way.
 * **Round trip** — ``save → load → label`` is bit-identical to the
   in-memory fit, in both mmap and private-copy loading modes, and the
   reconstituted Counting-tree answers the same queries.
@@ -185,10 +186,11 @@ class TestRoundTrip:
         assert tree.n_points == original.n_points
         for h in original.levels:
             level, ref = tree.level(h), original.level(h)
-            assert np.array_equal(level.coords, ref.coords)
+            assert level.width == ref.width
+            assert np.array_equal(level.words, ref.words)
             assert np.array_equal(level.n, ref.n)
             assert np.array_equal(level.half_counts, ref.half_counts)
-            # Lookups go through the persisted packed keys.
+            # Lookups go through the persisted packed words.
             assert level.row_of(ref.coords[0]) == ref.row_of(ref.coords[0])
 
     def test_save_is_byte_stable(self, small_fit, tmp_path):
@@ -226,9 +228,193 @@ class TestRoundTrip:
     def test_mmap_arrays_are_read_only_views(self, small_model_path):
         model = load_model(small_model_path, mmap=True)
         level = next(iter(model.levels.values()))
-        assert not level.coords.flags.writeable
+        for array in (level.words, level.n, level.half_counts):
+            assert isinstance(array.base, np.memmap) or isinstance(
+                array, np.memmap
+            )
+            assert not array.flags.writeable
         with pytest.raises(ValueError):
-            level.coords[0, 0] = 99
+            level.words[0, 0] = 99
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+class TestGoldenV1Models:
+    """The frozen schema-v1 binaries: read-compat with the same labels."""
+
+    def test_v1_binary_reproduces_pinned_labels(self, name):
+        sidecar = load_sidecar(f"{name}_v1")
+        assert sidecar["schema"] == 1
+        model = load_model(FIXTURES_DIR / f"{name}_v1.bin")
+        labels = model.label(suite_points(name))
+        assert (
+            hashlib.sha256(labels.tobytes()).hexdigest()
+            == sidecar["labels_sha256"]
+        )
+        assert len(model.groups) == sidecar["n_clusters_found"]
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_v1_levels_pack_into_the_fitted_words(self, name, mmap):
+        v1 = load_model(FIXTURES_DIR / f"{name}_v1.bin", mmap=mmap)
+        v2 = load_model(FIXTURES_DIR / f"{name}.bin", mmap=mmap)
+        assert v1.levels.keys() == v2.levels.keys()
+        for h, level in v1.levels.items():
+            assert level.width == v2.levels[h].width == v1.n_resolutions - 1
+            for field in ("words", "n", "half_counts"):
+                got, want = getattr(level, field), getattr(v2.levels[h], field)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (h, field)
+
+    def test_v1_counts_past_uint32_are_a_format_error(self, name, tmp_path):
+        from repro.serve.store import read_model
+
+        header, data = read_model(FIXTURES_DIR / f"{name}_v1.bin", mmap=False)
+        data["level1/counts"][0] = 2**32
+        path = tmp_path / "wide.model"
+        write_model(path, header["meta"], list(data.items()))
+        # The writer stamps the current schema; restore the v1 stamp
+        # (same length, so every offset holds).
+        blob = path.read_bytes()
+        assert blob.count(b'"schema":2') == 1
+        path.write_bytes(blob.replace(b'"schema":2', b'"schema":1'))
+        with pytest.raises(ModelFormatError, match="uint32"):
+            load_model(path)
+
+
+def _held_out_points(points: np.ndarray, seed: int) -> np.ndarray:
+    """Query points the fit never saw, a third of them outside its range.
+
+    Half are fresh draws inside the fitted box, and the rest sit past
+    its lower or upper bound on some axes, where normalisation clips.
+    """
+    rng = np.random.default_rng(seed)
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    inside = lo + rng.random((300, points.shape[1])) * (hi - lo)
+    near = points[rng.integers(0, points.shape[0], size=300)]
+    outside = near.copy()
+    mask = rng.random(outside.shape) < 0.3
+    outside[mask] += np.where(rng.random(int(mask.sum())) < 0.5, -1.0, 1.0) * (
+        (hi - lo)[np.nonzero(mask)[1]]
+    )
+    return np.vstack([inside, near, outside])
+
+
+class TestHeldOutLabels:
+    """Every way to fit and persist a model labels unseen points alike.
+
+    The reference is the in-memory model of the serial fit; the sharded
+    fit (``n_jobs=2``) and the streaming fit (``fit_stream`` over the
+    serial fit's normalised chunks) must label held-out and clipped
+    out-of-range points identically, in memory and after a schema-v2
+    save and load (memmapped and private).
+    """
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        from repro.core.correlation_cluster import merge_beta_clusters
+        from repro.core.streaming import fit_stream
+        from repro.data.normalize import apply_minmax
+        from repro.serve import FittedModel
+
+        dataset = generate_dataset(
+            SyntheticDatasetSpec(
+                dimensionality=6, n_points=2000, n_clusters=3, seed=41
+            )
+        )
+        points = dataset.points * 3.0 - 0.5
+        serial = MrCC(n_resolutions=5, n_jobs=1)
+        serial.fit(points)
+        sharded = MrCC(n_resolutions=5, n_jobs=2)
+        sharded.fit(points)
+        reference = model_from_estimator(serial)
+        unit = apply_minmax(points, *serial.normalizer_)
+        tree, betas = fit_stream(
+            np.array_split(unit, 7), alpha=serial.alpha, n_resolutions=5
+        )
+        streamed = FittedModel(
+            meta=dict(reference.meta),
+            betas=betas,
+            groups=merge_beta_clusters(betas),
+            levels={h: tree.level(h) for h in tree.levels},
+            normalizer=serial.normalizer_,
+        )
+        models = {
+            "serial": reference,
+            "sharded": model_from_estimator(sharded),
+            "stream": streamed,
+        }
+        return reference, models, _held_out_points(points, seed=43)
+
+    def test_held_out_points_reach_clusters_and_clip(self, fits):
+        reference, _, held = fits
+        labels = reference.label(held)
+        assert np.any(labels >= 0) and np.any(labels < 0)
+        lo, span = reference.normalizer
+        assert np.any(held < lo) and np.any(held > lo + span)
+
+    @pytest.mark.parametrize("path", ["serial", "sharded", "stream"])
+    def test_in_memory_labels_equal_the_serial_fit(self, fits, path):
+        reference, models, held = fits
+        np.testing.assert_array_equal(
+            models[path].label(held), reference.label(held)
+        )
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize("path", ["serial", "sharded", "stream"])
+    def test_saved_v2_labels_equal_the_serial_fit(
+        self, fits, path, mmap, tmp_path
+    ):
+        from repro.serve import MODEL_SCHEMA_VERSION
+        from repro.serve.store import read_model
+
+        reference, models, held = fits
+        saved = save_model(models[path], tmp_path / f"{path}.model")
+        assert read_model(saved)[0]["schema"] == MODEL_SCHEMA_VERSION == 2
+        loaded = load_model(saved, mmap=mmap)
+        np.testing.assert_array_equal(loaded.label(held), reference.label(held))
+        for h, level in reference.levels.items():
+            assert np.array_equal(loaded.levels[h].words, level.words)
+
+
+COMPILED = [
+    name for name in AVAILABLE if kernels.get_backend(name).compiled
+]
+
+
+@pytest.mark.parametrize("backend", COMPILED or [None])
+class TestLeanTreePins:
+    """The compiled search never derives the oracle's coordinate views."""
+
+    @pytest.fixture(autouse=True)
+    def _backend(self, backend, monkeypatch):
+        if backend is None:
+            pytest.skip("no compiled backend loads on this machine")
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+
+    @staticmethod
+    def _assert_lean(tree):
+        for h in tree.levels:
+            level = tree.level(h)
+            assert level._coords is None and level._keys is None, h
+
+    def test_fit_builds_no_coordinate_views(self, backend, small_fit):
+        _, points = small_fit
+        estimator = MrCC(n_resolutions=5)
+        estimator.fit(points)
+        assert estimator.beta_clusters_
+        self._assert_lean(estimator.tree_)
+
+    def test_searching_a_memmapped_tree_builds_no_views(
+        self, backend, small_fit, tmp_path
+    ):
+        from repro.core.beta_cluster import find_beta_clusters
+
+        estimator, _ = small_fit
+        path = save_model(estimator, tmp_path / "lean.model")
+        model = load_model(path, mmap=True)
+        tree = model.tree()
+        betas = find_beta_clusters(tree, alpha=model.meta["alpha"])
+        assert len(betas) == len(model.betas)
+        self._assert_lean(tree)
 
 
 def _raw_model(path: Path, header: dict, data: bytes) -> Path:

@@ -2,8 +2,9 @@
 
 The C transliteration in ``repro.core.kernels.cext_backend._C_SOURCE``
 is deliberately written in a tiny dialect — flat functions over
-``int64_t``/``uint64_t``/``double``/``uint8_t`` scalars and pointers, ``for``/
-``while`` loops, no typedefs, no structs, no function pointers, no
+``int64_t``/``uint64_t``/``uint32_t``/``double``/``uint8_t`` scalars and
+pointers, ``for``/``while`` loops, no typedefs, no structs, no function
+pointers, no
 preprocessor beyond object-like ``#define`` constants.  That restraint
 is what makes a *trustworthy* static cross-check feasible: this module
 parses exactly that dialect (prototypes, parameter lists, ``#define``
@@ -27,13 +28,16 @@ from dataclasses import dataclass, field
 C_SCALAR_DTYPES: dict[str, str] = {
     "int64_t": "int64",
     "uint64_t": "uint64",
+    "uint32_t": "uint32",
     "double": "float64",
     "uint8_t": "uint8",
     "int": "int32",
 }
 
 #: C integer base types usable as length parameters for pointer bounds.
-C_INTEGER_TYPES = frozenset({"int64_t", "uint64_t", "int", "uint8_t"})
+C_INTEGER_TYPES = frozenset(
+    {"int64_t", "uint64_t", "uint32_t", "int", "uint8_t"}
+)
 
 _KEYWORDS = frozenset(
     {

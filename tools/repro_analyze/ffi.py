@@ -54,6 +54,7 @@ _CTYPES_SCALARS: dict[str, str] = {
     "c_longlong": "int64",
     "c_uint64": "uint64",
     "c_ulonglong": "uint64",
+    "c_uint32": "uint32",
     "c_int32": "int32",
     "c_int": "int32",
     "c_uint8": "uint8",
