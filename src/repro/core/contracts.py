@@ -28,13 +28,14 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.env import contracts_from_env
-from repro.types import NOISE_LABEL, AnyArray, DTypeLike
+from repro.types import NOISE_LABEL, AnyArray, DTypeLike, Normalizer
 
 __all__ = [
     "ContractError",
     "check_array",
     "check_labels",
     "check_level",
+    "check_normalizer",
     "check_probability",
     "disabled",
     "enabled",
@@ -124,6 +125,32 @@ def check_array(
                 f"(observed range [{float(a.min()):g}, {float(a.max()):g}])"
             )
     return a
+
+
+def check_normalizer(name: str, normalizer: object, d: int) -> Normalizer:
+    """Validate a min-max map ``(lo, span)`` for ``d``-axis points.
+
+    Both halves must be finite float64 vectors of shape ``(d,)`` and
+    every span non-negative (zero marks a constant axis).  The kernels
+    that replay the map index both vectors by axis, so this check is
+    structural and always on: it is O(d), not a data scan.
+    """
+    if not isinstance(normalizer, tuple) or len(normalizer) != 2:
+        raise ContractError(f"{name} must be a (lo, span) pair of arrays")
+    lo, span = (
+        check_array(f"{name}[{i}]", np.asarray(part), dtype=np.float64, ndim=1)
+        for i, part in enumerate(normalizer)
+    )
+    if lo.shape != (d,) or span.shape != (d,):
+        raise ContractError(
+            f"{name} must hold two ({d},) vectors, got {lo.shape} and "
+            f"{span.shape}"
+        )
+    if not (bool(np.isfinite(lo).all()) and bool(np.isfinite(span).all())):
+        raise ContractError(f"{name} contains NaN or infinite values")
+    if bool((span < 0.0).any()):
+        raise ContractError(f"{name} has a negative span")
+    return lo, span
 
 
 def check_labels(

@@ -93,18 +93,10 @@ def overlap_rows(
       axis-0 cell range.
     """
     n_coords = 1 << level.h
-    cell_lower = np.arange(n_coords, dtype=np.int64) * level.side
-    cell_upper = cell_lower + level.side
-    # The per-axis predicate over all 2^h possible coordinate values.
-    # Each axis admits a contiguous coordinate interval (the predicate
-    # is two one-sided inequalities), so the float test collapses to an
-    # exact integer interval [lo, hi] per axis.
-    ok = (cell_upper[:, None] >= box_lower) & (cell_lower[:, None] <= box_upper)
-    widths = ok.sum(axis=0)
-    if np.any(widths == 0):
+    interval = _axis_intervals(level, box_lower, box_upper)
+    if interval is None:
         return np.empty(0, dtype=np.int64)
-    lo = np.argmax(ok, axis=0)
-    hi = lo + widths - 1
+    lo, hi = interval
     binding = (lo > 0) | (hi < n_coords - 1)
     if not np.any(binding):
         return np.arange(level.n_cells, dtype=np.int64)
@@ -133,6 +125,37 @@ def overlap_rows(
     # that axis as unbound when fields are wider than the grid.
     hi[hi == n_coords - 1] = (1 << level.width) - 1
     return kernels.active_backend().box_scan(level, lo, hi, start, stop)
+
+
+def _axis_intervals(
+    level: Level, box_lower: FloatArray, box_upper: FloatArray
+) -> tuple[IntArray, IntArray] | None:
+    """Per-axis coordinate interval ``[lo, hi]`` of the cells a box meets.
+
+    Cell ``c`` meets the box along an axis iff ``c·side + side >= L``
+    and ``c·side <= U`` — :func:`overlap_mask`'s float test.  The first
+    holds from some coordinate on and the second up to some coordinate,
+    so each axis admits one contiguous interval; ``None`` when an axis
+    admits none.  ``side`` is ``2^-h`` and ``c < 2^31``, so both sides
+    of each comparison are exact: the test reads ``c >= ⌈L·2^h⌉ − 1``
+    and ``c <= ⌊U·2^h⌋``, whose ends are computed here in O(d) whatever
+    the level's ``2^h``.
+    """
+    last = (1 << level.h) - 1
+    side = level.side
+    scale = float(1 << level.h)
+    # The last cell must reach L and the first start within U, or the
+    # axis admits no cell at all (this also rejects NaN bounds).
+    if not (
+        np.all(last * side + side >= box_lower) and np.all(0.0 <= box_upper)
+    ):
+        return None
+    lo = np.fmin(np.fmax(np.ceil(box_lower * scale) - 1.0, 0.0), last)
+    hi = np.fmin(np.fmax(np.floor(box_upper * scale), 0.0), last)
+    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+    if np.any(lo > hi):
+        return None
+    return lo, hi
 
 
 def convolve_level(responses: IntArray, taken: BoolArray) -> int:

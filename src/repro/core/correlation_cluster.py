@@ -22,13 +22,14 @@ import numpy as np
 
 from repro import obs
 from repro.core.beta_cluster import BetaCluster
-from repro.core.contracts import check_array, check_labels
+from repro.core.contracts import check_array, check_labels, check_normalizer
 from repro.core.kernels import active_backend
 from repro.types import (
     NOISE_LABEL,
     ClusteringResult,
     FloatArray,
     IntArray,
+    Normalizer,
     SubspaceCluster,
 )
 
@@ -83,7 +84,10 @@ def merge_beta_clusters(betas: list[BetaCluster]) -> list[list[int]]:
 
 
 def label_points(
-    points: FloatArray, betas: list[BetaCluster], groups: list[list[int]]
+    points: FloatArray,
+    betas: list[BetaCluster],
+    groups: list[list[int]],
+    normalizer: Normalizer | None = None,
 ) -> IntArray:
     """Partition the dataset: box membership → cluster id, else noise.
 
@@ -91,7 +95,10 @@ def label_points(
     active backend's ``label_rows`` kernel, so a point takes the group
     of the first box containing it.  Groups may touch on a shared face
     (see the module docstring); a point on it gets the lowest group id.
-    A row with a NaN coordinate lies in no box and stays noise.
+    A row with a NaN coordinate lies in no box and stays noise.  With a
+    fitted min-max ``normalizer`` the points are raw: the kernel maps
+    each coordinate as it reads it, bit-identically to labelling
+    :func:`~repro.data.normalize.apply_minmax` of them, without the copy.
     """
     members = [beta_index for group in groups for beta_index in group]
     box_group = np.repeat(
@@ -103,8 +110,10 @@ def label_points(
     shape = (len(members), points.shape[1])
     lower = np.array([betas[b].lower for b in members], dtype=np.float64)
     upper = np.array([betas[b].upper for b in members], dtype=np.float64)
+    if normalizer is not None:
+        normalizer = check_normalizer("normalizer", normalizer, points.shape[1])
     return active_backend().label_rows(
-        points, lower.reshape(shape), upper.reshape(shape), box_group
+        points, lower.reshape(shape), upper.reshape(shape), box_group, normalizer
     )
 
 
@@ -134,9 +143,15 @@ def assemble_result(
 
 
 def build_correlation_clusters(
-    points: FloatArray, betas: list[BetaCluster]
+    points: FloatArray,
+    betas: list[BetaCluster],
+    normalizer: Normalizer | None = None,
 ) -> ClusteringResult:
-    """Run Algorithm 3: merge β-clusters, define axes, label points."""
+    """Run Algorithm 3: merge β-clusters, define axes, label points.
+
+    ``normalizer`` labels raw points through a fitted min-max map, as
+    :func:`label_points` does.
+    """
     check_array("points", points, dtype=np.float64, ndim=2)
     if not betas:
         labels = np.full(points.shape[0], NOISE_LABEL, dtype=np.int64)
@@ -145,7 +160,9 @@ def build_correlation_clusters(
         obs.incr("assemble.beta_clusters", len(betas))
         groups = merge_beta_clusters(betas)
         obs.incr("assemble.clusters", len(groups))
-        labels = check_labels("labels", label_points(points, betas, groups))
+        labels = check_labels(
+            "labels", label_points(points, betas, groups, normalizer)
+        )
         if obs.enabled():
             # O(n) scan, so only under an active tracer.
             obs.incr("assemble.noise_points", int(np.sum(labels == NOISE_LABEL)))

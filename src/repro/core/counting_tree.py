@@ -27,9 +27,11 @@ points here: the backend's ``cell_words`` kernel bins each row at the
 finest half-resolution ``2^H`` and writes its level-``H-1`` cell as one
 or a few uint64 words (a fixed ``H-1``-bit field per axis) plus a
 parity word holding each axis's lowest coordinate bit, straight from
-the unit-box floats — no ``(η, d)`` integer coordinate matrix is ever
-built.  One sort of the cell words groups the points into level-``H-1``
-cells, and the ``half_counts`` kernel turns the group-ordered parity
+the unit-box floats — or from the raw floats, mapped through a fitted
+min-max ``normalizer`` as the kernel reads them — so neither an
+``(η, d)`` integer coordinate matrix nor a normalised float copy of the
+input is ever built.  One sort of the cell words groups the points into
+level-``H-1`` cells, and the ``half_counts`` kernel turns the group-ordered parity
 words into the half-space counts.  Every coarser level is derived by
 *aggregating cells* — shifting the finer level's unique words right by
 one bit per field and summing counts over equal parents, with
@@ -50,8 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import env, obs
-from repro.core.contracts import ContractError, check_array
-from repro.types import AnyArray, FloatArray, IntArray
+from repro.core.contracts import ContractError, check_array, check_normalizer
+from repro.types import AnyArray, FloatArray, IntArray, Normalizer
 
 MIN_RESOLUTIONS = 3
 """Algorithm 1 requires ``H >= 3``."""
@@ -312,7 +314,8 @@ class CountingTree:
     Parameters
     ----------
     points:
-        Array of shape ``(η, d)`` with values in ``[0, 1)``.
+        Array of shape ``(η, d)`` with values in ``[0, 1)``, or raw
+        finite values when ``normalizer`` is given.
     n_resolutions:
         The paper's ``H``; levels ``1 .. H-1`` are materialised (level 0
         is the root hyper-cube, kept implicitly).  Must be ≥ 3.
@@ -323,6 +326,12 @@ class CountingTree:
         explicit value ≥ 2 always shards.  The sharded build reduces
         per-shard cell aggregates in deterministic shard order and is
         bit-identical to the serial build.
+    normalizer:
+        A fitted min-max map ``(lo, span)`` (see
+        :func:`~repro.data.normalize.minmax_params`).  The tree is then
+        built over ``apply_minmax(points, lo, span)`` bit for bit, but
+        the ``cell_words`` kernel maps each value as it reads it, so no
+        normalised copy of the input is made.
 
     Notes
     -----
@@ -345,9 +354,14 @@ class CountingTree:
         points: FloatArray,
         n_resolutions: int = 4,
         n_jobs: int | None = None,
+        normalizer: Normalizer | None = None,
     ):
         points = np.asarray(points, dtype=np.float64)
-        check_array("points", points, dtype=np.float64, ndim=2, unit_box=True)
+        if normalizer is None:
+            check_array("points", points, dtype=np.float64, ndim=2, unit_box=True)
+        else:
+            check_array("points", points, dtype=np.float64, ndim=2, finite=True)
+            normalizer = check_normalizer("normalizer", normalizer, points.shape[1])
         if points.shape[0] == 0:
             raise ValueError("cannot build a Counting-tree over zero points")
         if n_resolutions < MIN_RESOLUTIONS:
@@ -379,9 +393,13 @@ class CountingTree:
             if shard:
                 from repro.core.streaming import sharded_levels
 
-                self._levels = sharded_levels(points, self._H, jobs)
+                self._levels = sharded_levels(
+                    points, self._H, jobs, normalizer=normalizer
+                )
             else:
-                self._levels = aggregate_levels(points, self._H)
+                self._levels = aggregate_levels(
+                    points, self._H, normalizer=normalizer
+                )
 
     @property
     def n_resolutions(self) -> int:
@@ -457,10 +475,14 @@ half-space counts.  The canonical exchange format between the builders
 and none of them ever unpacks a coordinate."""
 
 
-def level_arrays(points: FloatArray, n_resolutions: int) -> dict[int, LevelArrays]:
+def level_arrays(
+    points: FloatArray, n_resolutions: int, normalizer: Normalizer | None = None
+) -> dict[int, LevelArrays]:
     """Per-level SoA cell aggregates from unit-box points (pure).
 
-    The active backend's ``cell_words`` kernel bins the η points and
+    With a ``normalizer`` the points are raw and the kernel maps each
+    value through it as it reads it.  The active backend's
+    ``cell_words`` kernel bins the η points and
     packs each one's level ``H-1`` coordinates into uint64 cell words
     with a fixed ``H-1``-bit field per axis (axis 0 most significant),
     plus a parity word holding each axis's lowest coordinate bit.  One
@@ -489,7 +511,7 @@ def level_arrays(points: FloatArray, n_resolutions: int) -> dict[int, LevelArray
     backend = active_backend()
     n_points, d = points.shape
     width = n_resolutions - 1
-    words, parity = backend.cell_words(points, n_resolutions)
+    words, parity = backend.cell_words(points, n_resolutions, normalizer)
     order, starts, cell_words = _group_words(words)
     del words
     counts = _as_counts("counts", np.diff(np.append(starts, n_points)))
@@ -539,7 +561,9 @@ def level_from_arrays(h: int, width: int, arrays: LevelArrays) -> Level:
     return Level(h=h, width=width, words=words, n=counts, half_counts=halves)
 
 
-def aggregate_levels(points: FloatArray, n_resolutions: int) -> dict[int, Level]:
+def aggregate_levels(
+    points: FloatArray, n_resolutions: int, normalizer: Normalizer | None = None
+) -> dict[int, Level]:
     """Build all levels from one binning pass, coarse levels by aggregation.
 
     Thin observability wrapper over :func:`level_arrays` — cell words,
@@ -547,7 +571,7 @@ def aggregate_levels(points: FloatArray, n_resolutions: int) -> dict[int, Level]
     :func:`_reference_build` over :func:`bin_points` of the same
     points; the property tests assert it.
     """
-    arrays = level_arrays(points, n_resolutions)
+    arrays = level_arrays(points, n_resolutions, normalizer)
     levels: dict[int, Level] = {}
     for h in range(1, n_resolutions):
         levels[h] = level_from_arrays(h, n_resolutions - 1, arrays[h])

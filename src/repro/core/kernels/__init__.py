@@ -3,8 +3,10 @@
 The measured bottlenecks of a fit and of serving run through one of two
 interchangeable backends, seven entry points each:
 
-* the Counting-tree build — ``cell_words`` bins the unit-box points
-  and packs each row's level ``H-1`` cell word and parity word, and
+* the Counting-tree build — ``cell_words`` bins the points (unit-box
+  points, or raw points it maps through a fitted min-max
+  ``normalizer`` as it reads them) and packs each row's level ``H-1``
+  cell word and parity word, and
   ``half_counts`` turns group-ordered child words into the half-space
   counts ``P[j]`` of every level;
 * the Laplacian convolution responses (``level_responses``), the
@@ -15,8 +17,8 @@ interchangeable backends, seven entry points each:
   read its packed cell words and uint32 counts, the numpy oracle the
   void keys and coordinates it derives from them);
 * the labelling pass that assigns each point its correlation cluster
-  (``label_rows``), on the points and the β-boxes flattened in group
-  order.
+  (``label_rows``), on the points — mapped through the same optional
+  ``normalizer`` — and the β-boxes flattened in group order.
 
 The two backends are:
 
@@ -53,7 +55,7 @@ import numpy as np
 from repro import env
 from repro.core.counting_tree import Level
 from repro.core.kernels import cext_backend, reference
-from repro.types import AnyArray, FloatArray, IntArray
+from repro.types import AnyArray, FloatArray, IntArray, Normalizer
 
 __all__ = [
     "Backend",
@@ -79,8 +81,22 @@ class _SixRegionKernel(Protocol):
 
 class _CellWordsKernel(Protocol):
     def __call__(
-        self, points: FloatArray, n_resolutions: int
+        self,
+        points: FloatArray,
+        n_resolutions: int,
+        normalizer: Normalizer | None = None,
     ) -> tuple[AnyArray, AnyArray]: ...
+
+
+class _LabelRowsKernel(Protocol):
+    def __call__(
+        self,
+        points: FloatArray,
+        lower: FloatArray,
+        upper: FloatArray,
+        box_group: IntArray,
+        normalizer: Normalizer | None = None,
+    ) -> IntArray: ...
 
 
 class _HalfCountsKernel(Protocol):
@@ -112,7 +128,7 @@ class Backend:
     half_counts: _HalfCountsKernel
     level_responses: Callable[[Level, IntArray], IntArray]
     box_scan: Callable[[Level, IntArray, IntArray, int, int], IntArray]
-    label_rows: Callable[[FloatArray, FloatArray, FloatArray, IntArray], IntArray]
+    label_rows: _LabelRowsKernel
     six_region: _SixRegionKernel
     binom_thetas: _BinomThetasKernel
 

@@ -30,13 +30,18 @@ from typing import Any
 import numpy as np
 
 from repro.core.counting_tree import Level, _field_layout
+from repro.data.normalize import _BELOW_ONE
 from repro.env import cext_sanitize_from_env
-from repro.types import AnyArray, FloatArray, IntArray
+from repro.types import AnyArray, FloatArray, IntArray, Normalizer
 
 NAME = "cext"
 COMPILED = True
 
-_BASE_CFLAGS = ("-O3", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror")
+_BASE_CFLAGS = (
+    "-O3", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror",
+    # No fused multiply-adds: each float operation rounds as numpy's does.
+    "-ffp-contract=off",
+)
 _SANITIZE_CFLAGS = ("-fsanitize=address,undefined", "-fno-omit-frame-pointer")
 
 _C_SOURCE = r"""
@@ -48,12 +53,16 @@ _C_SOURCE = r"""
 
 /* Bin each row at 2^H and pack it in one pass: the level-(H-1) cell
  * word ((H-1)-bit fields, axis 0 most significant) and the parity word
- * (one bit per axis).  The clamp runs in the float domain so the cast
- * is always defined: NaN and negatives bin to 0, values at or past 1.0
+ * (one bit per axis).  n_norm > 0 maps each raw value as it is read,
+ * apply_minmax's operations in its order: (x - lo) / span on a
+ * positive span, 0.0 on a zero span, then the clip to [0, below_one]
+ * (NaN passes).  The clamp runs in the float domain so the cast is
+ * always defined: NaN and negatives bin to 0, values at or past 1.0
  * to the last cell; truncating the clamped value equals floor. */
 void cell_words(const double *points, int64_t n, int64_t d,
-                int64_t n_resolutions, int64_t n_words, int64_t n_parity,
-                uint64_t *words, uint64_t *parity) {
+                int64_t n_resolutions, const double *lo, const double *span,
+                int64_t n_norm, double below_one, int64_t n_words,
+                int64_t n_parity, uint64_t *words, uint64_t *parity) {
     int64_t width = n_resolutions - 1;
     int64_t per_word = 64 / width;
     double scale = (double)((int64_t)1 << n_resolutions);
@@ -74,7 +83,13 @@ void cell_words(const double *points, int64_t n, int64_t d,
                 p_last += 64;
                 if (p_last > d) p_last = d;
             }
-            double v = points[i * d + k] * scale;
+            double v = points[i * d + k];
+            if (n_norm > 0) {
+                if (span[k] > 0.0) v = (v - lo[k]) / span[k]; else v = 0.0;
+                if (v < 0.0) v = 0.0;
+                if (v > below_one) v = below_one;
+            }
+            v = v * scale;
             if (!(v >= 0.0)) v = 0.0;
             if (v > limit) v = limit;
             uint64_t c = (uint64_t)v;
@@ -226,16 +241,24 @@ int64_t box_scan(const uint64_t *words, int64_t m, int64_t n_words,
 }
 
 /* First-match labelling over boxes flattened in group order; the
- * negated closed test keeps NaN rows noise (-1, NOISE_LABEL). */
+ * negated closed test keeps NaN rows noise (-1, NOISE_LABEL).  n_norm
+ * > 0 maps each raw value as it is read, exactly as in cell_words. */
 void label_rows(const double *points, int64_t n, int64_t d,
                 const double *lower, const double *upper,
-                const int64_t *box_group, int64_t n_boxes, int64_t *out) {
+                const int64_t *box_group, int64_t n_boxes,
+                const double *lo, const double *span, int64_t n_norm,
+                double below_one, int64_t *out) {
     for (int64_t i = 0; i < n; i++) {
         int64_t label = -1;
         for (int64_t b = 0; b < n_boxes; b++) {
             int inside = 1;
             for (int64_t k = 0; k < d; k++) {
                 double x = points[i * d + k];
+                if (n_norm > 0) {
+                    if (span[k] > 0.0) x = (x - lo[k]) / span[k]; else x = 0.0;
+                    if (x < 0.0) x = 0.0;
+                    if (x > below_one) x = below_one;
+                }
                 if (!(x >= lower[b * d + k] && x <= upper[b * d + k])) {
                     inside = 0;
                     break;
@@ -370,6 +393,27 @@ _U64P = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
 _U32P = np.ctypeslib.ndpointer(dtype=np.uint32, flags="C_CONTIGUOUS")
 
 
+_NO_NORMALIZER = np.empty(0, dtype=np.float64)
+
+
+def _norm_arrays(
+    normalizer: Normalizer | None, d: int
+) -> tuple[FloatArray, FloatArray]:
+    """``(lo, span)`` for the C loop: empty when there is no map.
+
+    The loop reads ``lo[k]``/``span[k]`` for every axis ``k < d``
+    whenever their length is non-zero, so that length must be ``d``.
+    """
+    if normalizer is None:
+        return _NO_NORMALIZER, _NO_NORMALIZER
+    lo, span = normalizer
+    if lo.shape != (d,) or span.shape != (d,):
+        raise ValueError(
+            f"normalizer {lo.shape}/{span.shape} does not match {d} axes"
+        )
+    return lo, span
+
+
 def _compiler() -> str | None:
     for candidate in ("cc", "gcc", "clang"):
         path = shutil.which(candidate)
@@ -463,8 +507,9 @@ def load() -> dict[str, Any]:
 
     lib.cell_words.restype = None
     lib.cell_words.argtypes = [
-        _F64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_int64, _U64P, _U64P,
+        _F64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _F64P, _F64P,
+        ctypes.c_int64, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
+        _U64P, _U64P,
     ]
     lib.half_counts.restype = None
     lib.half_counts.argtypes = [
@@ -484,7 +529,7 @@ def load() -> dict[str, Any]:
     lib.label_rows.restype = None
     lib.label_rows.argtypes = [
         _F64P, ctypes.c_int64, ctypes.c_int64, _F64P, _F64P, _I64P,
-        ctypes.c_int64, _I64P,
+        ctypes.c_int64, _F64P, _F64P, ctypes.c_int64, ctypes.c_double, _I64P,
     ]
     lib.six_region.restype = None
     lib.six_region.argtypes = [
@@ -497,7 +542,9 @@ def load() -> dict[str, Any]:
     ]
 
     def cell_words(
-        points: FloatArray, n_resolutions: int
+        points: FloatArray,
+        n_resolutions: int,
+        normalizer: Normalizer | None = None,
     ) -> tuple[AnyArray, AnyArray]:
         n, d = points.shape
         if not 2 <= n_resolutions <= 32:
@@ -505,13 +552,17 @@ def load() -> dict[str, Any]:
                 f"n_resolutions must lie in [2, 32] to bin into uint64 "
                 f"cell words, got {n_resolutions}"
             )
+        lo, span = _norm_arrays(normalizer, d)
         n_words = _field_layout(d, n_resolutions - 1)[0]
         n_parity = _field_layout(d, 1)[0]
         words = np.zeros((n, n_words), dtype=np.uint64)
         parity = np.zeros((n, n_parity), dtype=np.uint64)
         lib.cell_words(
             np.ascontiguousarray(points, dtype=np.float64), n, d,
-            n_resolutions, n_words, n_parity, words, parity,
+            n_resolutions,
+            np.ascontiguousarray(lo, dtype=np.float64),
+            np.ascontiguousarray(span, dtype=np.float64),
+            lo.shape[0], _BELOW_ONE, n_words, n_parity, words, parity,
         )
         return words, parity
 
@@ -591,6 +642,7 @@ def load() -> dict[str, Any]:
         lower: FloatArray,
         upper: FloatArray,
         box_group: IntArray,
+        normalizer: Normalizer | None = None,
     ) -> IntArray:
         n, d = points.shape
         if lower.shape != (box_group.shape[0], d) or upper.shape != lower.shape:
@@ -598,13 +650,17 @@ def load() -> dict[str, Any]:
                 f"box bounds {lower.shape}/{upper.shape} do not match "
                 f"{box_group.shape[0]} boxes over {d} axes"
             )
+        lo, span = _norm_arrays(normalizer, d)
         out = np.empty(n, dtype=np.int64)
         lib.label_rows(
             np.ascontiguousarray(points, dtype=np.float64), n, d,
             np.ascontiguousarray(lower, dtype=np.float64),
             np.ascontiguousarray(upper, dtype=np.float64),
             np.ascontiguousarray(box_group, dtype=np.int64),
-            box_group.shape[0], out,
+            box_group.shape[0],
+            np.ascontiguousarray(lo, dtype=np.float64),
+            np.ascontiguousarray(span, dtype=np.float64),
+            lo.shape[0], _BELOW_ONE, out,
         )
         return out
 

@@ -60,7 +60,13 @@ _SF_TOLERANCE = 1e-18
 """Early-termination threshold for the geometric tail remainder."""
 
 
-def cell_words(points: FloatArray, n_resolutions: int) -> tuple[AnyArray, AnyArray]:
+def cell_words(
+    points: FloatArray,
+    n_resolutions: int,
+    lo: FloatArray,
+    span: FloatArray,
+    below_one: float,
+) -> tuple[AnyArray, AnyArray]:
     """Bin every row at ``2^H`` and pack it: cell word and parity word.
 
     Returns ``(words, parity)``.  ``words`` holds each row's level
@@ -73,8 +79,16 @@ def cell_words(points: FloatArray, n_resolutions: int) -> tuple[AnyArray, AnyArr
     is always defined: NaN and negative values bin to cell 0, values at
     or past 1.0 to the last cell.  Truncating the clamped non-negative
     value equals flooring it.
+
+    ``lo``/``span`` are a fitted min-max map of shape ``(d,)``, or two
+    empty arrays for points already in the unit box.  A mapped value is
+    ``(x − lo[k]) / span[k]`` on a positive span and exactly 0.0 on a
+    zero span, then clipped to ``[0, below_one]`` with NaN passing
+    through — :func:`~repro.data.normalize.apply_minmax`'s operations
+    in its order, one value at a time as the loop reads it.
     """
     n, d = points.shape
+    n_norm = lo.shape[0]
     width = n_resolutions - 1
     per_word = 64 // width
     n_words = -(-d // per_word) if d > 0 else 1
@@ -99,7 +113,17 @@ def cell_words(points: FloatArray, n_resolutions: int) -> tuple[AnyArray, AnyArr
                 p_last += 64
                 if p_last > d:
                     p_last = d
-            v = points[i, k] * scale
+            v = points[i, k]
+            if n_norm > 0:
+                if span[k] > 0.0:
+                    v = (v - lo[k]) / span[k]
+                else:
+                    v = 0.0
+                if v < 0.0:
+                    v = 0.0
+                if v > below_one:
+                    v = below_one
+            v = v * scale
             if not v >= 0.0:
                 v = 0.0
             if v > limit:
@@ -320,7 +344,13 @@ def box_scan(
 
 
 def label_rows(
-    points: FloatArray, lower: FloatArray, upper: FloatArray, box_group: IntArray
+    points: FloatArray,
+    lower: FloatArray,
+    upper: FloatArray,
+    box_group: IntArray,
+    lo: FloatArray,
+    span: FloatArray,
+    below_one: float,
 ) -> IntArray:
     """Correlation-cluster label of every row (Alg. 3, phase 3).
 
@@ -331,9 +361,12 @@ def label_rows(
     groups' boxes share a face the lowest group id wins; a row no box
     contains is ``NOISE_LABEL``.  The containment test is the closed float test
     ``lo <= x <= hi``, negated as a whole so a NaN coordinate fails it
-    and the row stays noise.
+    and the row stays noise.  ``lo``/``span``/``below_one`` map each raw
+    coordinate as it is read, exactly as in :func:`cell_words`; empty
+    ``lo``/``span`` test the coordinates as given.
     """
     n, d = points.shape
+    n_norm = lo.shape[0]
     n_boxes = lower.shape[0]
     out = np.empty(n, dtype=np.int64)
     for i in range(n):
@@ -342,6 +375,15 @@ def label_rows(
             inside = True
             for k in range(d):
                 x = points[i, k]
+                if n_norm > 0:
+                    if span[k] > 0.0:
+                        x = (x - lo[k]) / span[k]
+                    else:
+                        x = 0.0
+                    if x < 0.0:
+                        x = 0.0
+                    if x > below_one:
+                        x = below_one
                 if not (x >= lower[b, k] and x <= upper[b, k]):
                     inside = False
                     break

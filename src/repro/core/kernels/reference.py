@@ -24,7 +24,8 @@ from repro.core.counting_tree import (
     bin_points,
     void_keys,
 )
-from repro.types import NOISE_LABEL, AnyArray, FloatArray, IntArray
+from repro.data.normalize import apply_minmax
+from repro.types import NOISE_LABEL, AnyArray, FloatArray, IntArray, Normalizer
 
 NAME = "numpy"
 COMPILED = False
@@ -35,8 +36,17 @@ def version() -> str:
     return str(np.__version__)
 
 
-def cell_words(points: FloatArray, n_resolutions: int) -> tuple[AnyArray, AnyArray]:
-    """Level-``H-1`` cell words and parity words: bin, then pack twice."""
+def cell_words(
+    points: FloatArray, n_resolutions: int, normalizer: Normalizer | None = None
+) -> tuple[AnyArray, AnyArray]:
+    """Level-``H-1`` cell words and parity words: bin, then pack twice.
+
+    With a ``normalizer`` the raw points go through
+    :func:`~repro.data.normalize.apply_minmax` first — the map the
+    compiled kernels replay value by value.
+    """
+    if normalizer is not None:
+        points = apply_minmax(points, *normalizer)
     base = bin_points(points, n_resolutions)
     return _pack_words(base, n_resolutions - 1, drop=1), _pack_words(base, 1)
 
@@ -114,9 +124,19 @@ def box_scan(
 
 
 def label_rows(
-    points: FloatArray, lower: FloatArray, upper: FloatArray, box_group: IntArray
+    points: FloatArray,
+    lower: FloatArray,
+    upper: FloatArray,
+    box_group: IntArray,
+    normalizer: Normalizer | None = None,
 ) -> IntArray:
-    """Group labels, one group at a time: the lowest claiming id wins."""
+    """Group labels, one group at a time: the lowest claiming id wins.
+
+    A ``normalizer`` maps the raw points with
+    :func:`~repro.data.normalize.apply_minmax` before the box tests.
+    """
+    if normalizer is not None:
+        points = apply_minmax(points, *normalizer)
     labels = np.full(points.shape[0], NOISE_LABEL, dtype=np.int64)
     unassigned = np.ones(points.shape[0], dtype=bool)
     for cluster_id in np.unique(box_group):

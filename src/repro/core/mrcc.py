@@ -36,7 +36,7 @@ from repro.core.beta_cluster import BetaCluster, find_beta_clusters
 from repro.core.contracts import check_array, check_labels
 from repro.core.correlation_cluster import build_correlation_clusters
 from repro.core.counting_tree import MIN_RESOLUTIONS, CountingTree
-from repro.data.normalize import apply_minmax, minmax_params
+from repro.data.normalize import minmax_params
 from repro.types import ClusteringResult, FloatArray, IntArray, SubspaceCluster
 
 if TYPE_CHECKING:
@@ -58,8 +58,9 @@ class MrCC:
         (must be ≥ 3; the tree materialises levels ``1 .. H-1``).
     normalize:
         When true (default), min-max normalise the input into
-        ``[0, 1)`` first; disable only for data already embedded in the
-        unit cube.
+        ``[0, 1)``: the fitted map is applied inside the kernels that
+        read the points, so the input is never copied.  Disable only
+        for data already embedded in the unit cube.
     max_beta_clusters:
         Optional cap on the β-cluster search; ``None`` reproduces the
         paper exactly.
@@ -111,7 +112,11 @@ class MrCC:
 
         The three phases run in sequence: Counting-tree construction
         (Algorithm 1), β-cluster search (Algorithm 2), correlation
-        cluster assembly and labelling (Algorithm 3).
+        cluster assembly and labelling (Algorithm 3).  With
+        ``normalize`` on, the fitted ``(lo, span)`` travels into the
+        two kernels that read points, which map each value as they read
+        it: the fit holds the input, the tree and the labels, never a
+        normalised copy of the input.
         """
         points = np.asarray(points, dtype=np.float64)
         check_array("points", points, dtype=np.float64, ndim=2, finite=True)
@@ -121,19 +126,20 @@ class MrCC:
             self.normalizer_ = None
             if self.normalize:
                 with obs.span("fit.normalize"):
-                    lo, span = minmax_params(points)
-                    self.normalizer_ = (lo, span)
-                    points = apply_minmax(points, lo, span)
+                    self.normalizer_ = minmax_params(points)
 
             self.tree_ = CountingTree(
                 points,
                 n_resolutions=self.n_resolutions,
                 n_jobs=self.n_jobs,
+                normalizer=self.normalizer_,
             )
             self.beta_clusters_ = find_beta_clusters(
                 self.tree_, self.alpha, max_beta_clusters=self.max_beta_clusters
             )
-            result = build_correlation_clusters(points, self.beta_clusters_)
+            result = build_correlation_clusters(
+                points, self.beta_clusters_, self.normalizer_
+            )
         result.extras["alpha"] = self.alpha
         result.extras["n_resolutions"] = self.n_resolutions
 

@@ -36,7 +36,7 @@ from repro.core.counting_tree import (
     merge_level_arrays,
     tree_from_levels,
 )
-from repro.types import ClusteringResult, FloatArray
+from repro.types import ClusteringResult, FloatArray, Normalizer
 
 
 class TreeStreamBuilder:
@@ -195,23 +195,26 @@ def build_tree_from_chunks(
 
 
 def shard_level_arrays(
-    shard: FloatArray, n_resolutions: int
+    shard: FloatArray, n_resolutions: int, normalizer: Normalizer | None = None
 ) -> dict[int, LevelArrays]:
     """One shard worker's partial tree (pure — runs in worker processes).
 
-    Bin the shard's points into packed cell words and cascade them into
-    per-level SoA aggregates (:func:`~repro.core.counting_tree.level_arrays`).
+    Bin the shard's points (raw ones through ``normalizer``, the map
+    fitted on the whole dataset) into packed cell words and cascade
+    them into per-level SoA aggregates
+    (:func:`~repro.core.counting_tree.level_arrays`).
     Deliberately free of validation and observability: contracts run
     once in the parent over the whole dataset, and worker output must
     depend on nothing but the argument values (the backend the worker
     picks cannot change it — every backend is bit-identical).
     """
-    return level_arrays(shard, n_resolutions)
+    return level_arrays(shard, n_resolutions, normalizer)
 
 
 def _shard_task(
     shard: FloatArray,
     n_resolutions: int,
+    normalizer: Normalizer | None,
     *,
     attempt: int,
     fault: str | None,
@@ -227,13 +230,16 @@ def _shard_task(
     if fault is not None:
         fire(fault, in_worker)
     return {
-        "arrays": shard_level_arrays(shard, n_resolutions),
+        "arrays": shard_level_arrays(shard, n_resolutions, normalizer),
         "n_points": int(shard.shape[0]),
     }
 
 
 def sharded_levels(
-    points: FloatArray, n_resolutions: int, n_jobs: int
+    points: FloatArray,
+    n_resolutions: int,
+    n_jobs: int,
+    normalizer: Normalizer | None = None,
 ) -> dict[int, Level]:
     """Build all tree levels by fanning point shards over the fabric.
 
@@ -244,7 +250,9 @@ def sharded_levels(
     order** — worker *completion* order never influences the reduction,
     and the merge itself is an associative key-grouped sum, so the
     result is bit-identical to the serial build (the ``n_jobs``
-    equivalence suite asserts it).
+    equivalence suite asserts it).  A ``normalizer`` travels with every
+    shard, so raw points are mapped by the same fitted ``(lo, span)``
+    in each worker and no normalised copy is made.
 
     Dispatch goes through :func:`repro.fabric.run_supervised`, the one
     supervised execution path in the repo: a worker death or hang costs
@@ -264,7 +272,7 @@ def sharded_levels(
     builder = TreeStreamBuilder(n_resolutions=n_resolutions)
     obs.incr("tree.shards", len(shards))
     tasks = [
-        Task(key=f"tree|shard{index}", args=(shard, n_resolutions))
+        Task(key=f"tree|shard{index}", args=(shard, n_resolutions, normalizer))
         for index, shard in enumerate(shards)
     ]
     outcomes = run_supervised(
@@ -308,6 +316,7 @@ def label_stream(
     chunks: Iterable[np.ndarray],
     betas: list,
     groups: list[list[int]] | None = None,
+    normalizer: Normalizer | None = None,
 ) -> ClusteringResult:
     """Phase 3 over a second scan: label every streamed point.
 
@@ -317,7 +326,9 @@ def label_stream(
     already merged the β-clusters — a persisted serving model labels
     many batches against one fixed grouping — skip the union-find
     rerun; ``None`` recomputes it, which yields the identical grouping
-    because the merge is deterministic.
+    because the merge is deterministic.  ``normalizer`` maps each raw
+    chunk inside the labelling kernel, as
+    :func:`~repro.core.correlation_cluster.label_points` does.
     """
     from repro.core.correlation_cluster import (
         assemble_result,
@@ -334,7 +345,7 @@ def label_stream(
             f"chunks[{chunk_index}]", chunk, dtype=np.float64, ndim=2, finite=True
         )
         if chunk.shape[0]:
-            label_parts.append(label_points(chunk, betas, groups))
+            label_parts.append(label_points(chunk, betas, groups, normalizer))
     labels = (
         np.concatenate(label_parts) if label_parts else np.empty(0, dtype=np.int64)
     )

@@ -42,6 +42,15 @@ def apply_minmax(
     Constant axes (zero fitted span) map to 0.0; values outside the
     fitted range — expected for query points a model never saw — clip
     into the half-open unit interval.
+
+    The fit and the serving paths never call this on their input: the
+    ``cell_words`` and ``label_rows`` kernels of every backend
+    (:mod:`repro.core.kernels`) take the same ``(lo, span)`` and replay
+    this map value by value as they read each raw coordinate, in this
+    order — ``(x − lo) / span`` on a positive span (a true division),
+    exactly 0.0 on a zero span, then the clip to ``[0, _BELOW_ONE]`` —
+    so no normalised copy of the data is ever made and every label is
+    bit-identical to normalising first.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:

@@ -42,7 +42,6 @@ from repro.core.counting_tree import (
     tree_from_levels,
 )
 from repro.core.mrcc import MrCC
-from repro.data.normalize import apply_minmax
 from repro.serve.store import ModelFormatError, read_model, write_model
 from repro.types import ClusteringResult, FloatArray, IntArray
 
@@ -122,9 +121,7 @@ class FittedModel:
                 f"query points have {points.shape[1]} axes, the model "
                 f"was fitted on {self.dimensionality}"
             )
-        if self.normalizer is not None:
-            points = apply_minmax(points, *self.normalizer)
-        labels = label_points(points, self.betas, self.groups)
+        labels = label_points(points, self.betas, self.groups, self.normalizer)
         return check_labels("labels", labels, n_points=points.shape[0])
 
     def label_result(self, points: FloatArray) -> ClusteringResult:
@@ -140,10 +137,9 @@ class FittedModel:
         """
         from repro.core.streaming import label_stream
 
-        if self.normalizer is not None:
-            lo, span = self.normalizer
-            chunks = (apply_minmax(chunk, lo, span) for chunk in chunks)
-        return label_stream(chunks, self.betas, groups=self.groups)
+        return label_stream(
+            chunks, self.betas, groups=self.groups, normalizer=self.normalizer
+        )
 
 
 def model_from_estimator(estimator: MrCC) -> FittedModel:

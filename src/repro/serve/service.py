@@ -42,7 +42,6 @@ import numpy as np
 from repro import obs
 from repro.core.contracts import ContractError, check_array
 from repro.core.correlation_cluster import label_points
-from repro.data.normalize import apply_minmax
 from repro.env import (
     faults_from_env,
     model_dir_from_env,
@@ -437,9 +436,9 @@ class BatchLabeller:
                     [request.points for request in requests] or [points[:0]],
                     axis=0,
                 )
-            if model.normalizer is not None:
-                points = apply_minmax(points, *model.normalizer)
-            labels = label_points(points, model.betas, model.groups)
+            labels = label_points(
+                points, model.betas, model.groups, model.normalizer
+            )
         except Exception as exc:
             for request in requests:
                 self._fail(request, exc)

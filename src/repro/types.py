@@ -38,6 +38,10 @@ AnyArray = NDArray[Any]
 DTypeLike = Union[type, np.dtype[Any], str]
 """Anything ``np.dtype`` accepts; used by the runtime contracts."""
 
+Normalizer = tuple[FloatArray, FloatArray]
+"""A fitted per-axis min-max map ``(lo, span)``, each of shape ``(d,)``:
+``x ↦ clip((x − lo) / span, 0, nextafter(1, 0))``, constant axes to 0."""
+
 NOISE_LABEL = -1
 """Label assigned to points that belong to no cluster."""
 

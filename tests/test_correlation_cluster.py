@@ -1,7 +1,5 @@
 """Tests for correlation-cluster assembly (Algorithm 3)."""
 
-import types
-
 import numpy as np
 import pytest
 
@@ -13,8 +11,8 @@ from repro.core.correlation_cluster import (
     label_points,
     merge_beta_clusters,
 )
-from repro.core.kernels import loops
 from repro.types import NOISE_LABEL
+from tests.loops_backend import LoopsBackend
 
 LABELLERS = ["numpy", "loops", "cext"]
 
@@ -26,8 +24,9 @@ def labeller(request, monkeypatch):
     ``loops`` is the interpreted C spec, run as a pseudo-backend.
     """
     if request.param == "loops":
-        backend = types.SimpleNamespace(label_rows=loops.label_rows)
-        monkeypatch.setattr(correlation_cluster, "active_backend", lambda: backend)
+        monkeypatch.setattr(
+            correlation_cluster, "active_backend", lambda: LoopsBackend
+        )
     elif request.param not in kernels.available_backends():
         pytest.skip(f"backend {request.param!r} does not load on this machine")
     else:

@@ -31,6 +31,7 @@ from repro.core.hypothesis_test import critical_values
 from repro.core.kernels import loops, reference
 from repro.core.mrcc import MrCC
 from repro.data.synthetic import SyntheticDatasetSpec, generate_dataset
+from tests.loops_backend import LoopsBackend
 
 AVAILABLE = kernels.available_backends()
 COMPILED = tuple(
@@ -43,57 +44,11 @@ def _limit(level):
     return (1 << level.h) - 1
 
 
-class _LoopsAdapter:
-    """The interpreted loop bodies, wrapped with the backend signature."""
-
-    name = "loops"
-
-    @staticmethod
-    def cell_words(points, n_resolutions):
-        return loops.cell_words(points, n_resolutions)
-
-    @staticmethod
-    def half_counts(child_words, child_counts, starts, counts, d, width):
-        if child_counts is None:
-            child_counts = np.empty(0, dtype=np.uint32)
-        return loops.half_counts(
-            child_words, child_counts, starts, counts, d, width
-        )
-
-    @staticmethod
-    def level_responses(level, rows):
-        return loops.level_responses(
-            level.words, level.n, level.words[rows], level.n[rows],
-            level.d, level.width,
-        )
-
-    @staticmethod
-    def box_scan(level, lo, hi, start, stop):
-        return loops.box_scan(
-            level.words, level.d, level.width, lo, hi, start, stop
-        )
-
-    @staticmethod
-    def label_rows(points, lower, upper, box_group):
-        return loops.label_rows(points, lower, upper, box_group)
-
-    @staticmethod
-    def six_region(level, row, bits):
-        return loops.six_region(
-            level.words, level.n, level.half_counts, level.d,
-            level.width, row, bits,
-        )
-
-    @staticmethod
-    def binom_thetas(totals, probs, alpha):
-        return loops.binom_thetas(totals, probs, alpha)
-
-
 IMPL_NAMES = ["loops"] + [name for name in AVAILABLE if name != "numpy"]
 
 
 def implementation(name):
-    return _LoopsAdapter if name == "loops" else kernels.get_backend(name)
+    return LoopsBackend if name == "loops" else kernels.get_backend(name)
 
 
 def every_row(level):

@@ -236,3 +236,218 @@ def test_axis_permutation_tie_is_broken_by_key_order(backend, monkeypatch):
     for ours, theirs in zip(swapped.beta_clusters_, original.beta_clusters_):
         np.testing.assert_array_equal(ours.lower, theirs.lower)
         np.testing.assert_array_equal(ours.upper, theirs.upper)
+
+
+def _raw_points(seed, n_points, d):
+    """Planted clusters and noise on a raw (not unit-box) scale."""
+    dataset = generate_dataset(
+        SyntheticDatasetSpec(
+            dimensionality=d,
+            n_points=n_points,
+            n_clusters=3,
+            noise_fraction=0.15,
+            max_irrelevant=2,
+            seed=seed,
+        )
+    )
+    return dataset.points * 9.0 - 4.0
+
+
+class TestRawInputFit:
+    """The fit maps raw points inside its kernels, never through a copy."""
+
+    @pytest.mark.parametrize("backend", AVAILABLE)
+    def test_equals_a_fit_on_prenormalised_points(self, backend, monkeypatch):
+        from repro.data.normalize import apply_minmax
+
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        points = _raw_points(1, 3000, 6)
+        raw = MrCC(n_resolutions=5)
+        unit = MrCC(n_resolutions=5, normalize=False)
+        labels = raw.fit(points).labels
+        np.testing.assert_array_equal(
+            unit.fit(apply_minmax(points, *raw.normalizer_)).labels, labels
+        )
+        assert len(np.unique(labels)) > 2
+        for h in raw.tree_.levels:
+            ours, theirs = raw.tree_.level(h), unit.tree_.level(h)
+            np.testing.assert_array_equal(ours.words, theirs.words)
+            np.testing.assert_array_equal(ours.n, theirs.n)
+            np.testing.assert_array_equal(ours.half_counts, theirs.half_counts)
+
+    def test_sharded_fit_equals_the_serial_fit(self):
+        points = _raw_points(2, 4000, 6)
+        serial = MrCC(n_resolutions=5, n_jobs=1)
+        sharded = MrCC(n_resolutions=5, n_jobs=2)
+        labels = serial.fit(points).labels
+        np.testing.assert_array_equal(sharded.fit(points).labels, labels)
+        assert len(np.unique(labels)) > 2
+        for h in serial.tree_.levels:
+            np.testing.assert_array_equal(
+                sharded.tree_.level(h).words, serial.tree_.level(h).words
+            )
+            np.testing.assert_array_equal(
+                sharded.tree_.level(h).half_counts,
+                serial.tree_.level(h).half_counts,
+            )
+
+    def test_unnormalised_model_leaves_out_of_range_points_noise(self):
+        # Without a normalizer nothing clips: moved to 1.5 along an axis
+        # its β-box spans whole, a member lies in no box.  Clipped to
+        # just below 1, it would have stayed in that box.
+        from repro.serve import model_from_estimator
+
+        points = np.clip(
+            (_raw_points(3, 3000, 5) + 4.0) / 9.0, 0.0, np.nextafter(1.0, 0.0)
+        )
+        estimator = MrCC(n_resolutions=5, normalize=False)
+        labels = estimator.fit(points).labels
+        moves = [
+            (row, axis)
+            for beta in estimator.beta_clusters_
+            for axis in np.flatnonzero((beta.lower == 0.0) & (beta.upper == 1.0))
+            for row in np.flatnonzero(
+                np.all((points >= beta.lower) & (points <= beta.upper), axis=1)
+            )[:1]
+        ]
+        assert moves
+        row, axis = moves[0]
+        query = np.vstack([points[row], points[row]])
+        query[1, axis] = 1.5
+        model = model_from_estimator(estimator)
+        assert model.normalizer is None
+        served = model.label(query)
+        assert served[0] == labels[row] != NOISE_LABEL
+        assert served[1] == NOISE_LABEL
+        np.testing.assert_array_equal(
+            model.label_stream([query[:1], query[1:]]).labels, served
+        )
+
+    def test_rejects_a_malformed_normalizer(self):
+        from repro.core.contracts import ContractError
+        from repro.core.counting_tree import CountingTree
+
+        points = _raw_points(4, 100, 3)
+        lo, span = np.zeros(3), np.ones(3)
+        for bad in (
+            (lo[:2], span[:2]),
+            (lo, -span),
+            (lo, np.array([1.0, np.inf, 1.0])),
+            (np.array([0.0, np.nan, 0.0]), span),
+        ):
+            with pytest.raises(ContractError, match="normalizer"):
+                CountingTree(points, n_resolutions=4, normalizer=bad)
+
+
+def test_fit_memory_is_the_input_plus_the_tree(monkeypatch):
+    """A cext fit holds no input-sized temporary beyond its input.
+
+    tracemalloc counts numpy's buffers.  On these 200k x 15 raw points
+    (22.9 MiB of float64) the fit peaked at 28.5 MiB above the input —
+    its words, sort permutations, tree, labels and cluster records — and
+    at 51.4 MiB when it normalised through an input-sized copy.  The
+    bound, 1.75 inputs (40.0 MiB), leaves half an input of margin above
+    the measured peak and sits half an input below the copying fit.
+    """
+    import tracemalloc
+
+    if "cext" not in AVAILABLE:
+        pytest.skip("the compiled backend does not load on this machine")
+    rng = np.random.default_rng(0)
+    d = 15
+    parts = [
+        rng.normal(rng.uniform(0.15, 0.85, d), 0.02, (40_000, d)) for _ in range(4)
+    ]
+    parts.append(rng.uniform(0.0, 1.0, (40_000, d)))
+    points = np.vstack(parts) * 40.0 - 7.0
+    monkeypatch.setenv("REPRO_BACKEND", "cext")
+    MrCC(n_resolutions=5, n_jobs=1).fit(points[:1000])  # load the kernels
+    tracemalloc.start()
+    try:
+        result = MrCC(n_resolutions=5, n_jobs=1).fit(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_clusters >= 1
+    assert peak < 1.75 * points.nbytes, (peak / 2**20, points.nbytes / 2**20)
+
+
+class TestTinyEta:
+    """Levels that hold about one point per cell change no invariance.
+
+    150 points over 4 axes at H=8: levels 5 to 7 hold 143 to 150 cells.
+    Labels must not depend on row order, on the backend, on streaming
+    the fit and the labels, or on a schema-v2 save and load.
+    """
+
+    H = 8
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        # Three clusters of 37 points, each dense on 3 of the 4 axes
+        # (sd 0.02 against a level-7 side of 0.008), plus 39 noise points.
+        rng = np.random.default_rng(3)
+        parts = []
+        for _ in range(3):
+            part = rng.uniform(0.0, 1.0, (37, 4))
+            relevant = rng.choice(4, 3, replace=False)
+            part[:, relevant] = rng.normal(rng.uniform(0.2, 0.8, 3), 0.02, (37, 3))
+            parts.append(part)
+        parts.append(rng.uniform(0.0, 1.0, (39, 4)))
+        points = np.vstack(parts) * 9.0 - 4.0
+        estimator = MrCC(n_resolutions=self.H)
+        labels = estimator.fit(points).labels
+        return points, estimator, labels
+
+    def test_levels_hold_about_one_point_per_cell(self, fitted):
+        points, estimator, labels = fitted
+        tree = estimator.tree_
+        assert tree.level(self.H - 1).n_cells == points.shape[0]
+        assert tree.level(5).n_cells >= 0.9 * points.shape[0]
+        assert len(np.unique(labels)) >= 3  # two clusters and noise
+
+    def test_row_order(self, fitted):
+        points, _, labels = fitted
+        perm = np.random.default_rng(8).permutation(points.shape[0])
+        permuted = MrCC(n_resolutions=self.H).fit(points[perm]).labels
+        np.testing.assert_array_equal(permuted, labels[perm])
+
+    @pytest.mark.parametrize("backend", AVAILABLE)
+    def test_backend(self, fitted, backend, monkeypatch):
+        points, _, labels = fitted
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        np.testing.assert_array_equal(
+            MrCC(n_resolutions=self.H).fit(points).labels, labels
+        )
+
+    def test_fit_stream_and_label_stream(self, fitted):
+        from repro.core.streaming import fit_stream, label_stream
+        from repro.data.normalize import apply_minmax
+
+        points, estimator, labels = fitted
+        normalizer = estimator.normalizer_
+        chunks = np.array_split(np.arange(points.shape[0]), 6)
+        _, betas = fit_stream(
+            (apply_minmax(points[rows], *normalizer) for rows in chunks),
+            alpha=estimator.alpha,
+            n_resolutions=self.H,
+        )
+        streamed = label_stream(
+            (points[rows] for rows in chunks), betas, normalizer=normalizer
+        )
+        np.testing.assert_array_equal(streamed.labels, labels)
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_schema_v2_save_and_load(self, fitted, mmap, tmp_path):
+        from repro.serve import load_model
+        from repro.serve.store import MODEL_SCHEMA_VERSION
+
+        assert MODEL_SCHEMA_VERSION == 2
+        points, estimator, labels = fitted
+        path = tmp_path / "tiny.model"
+        estimator.save(path)
+        model = load_model(path, mmap=mmap)
+        np.testing.assert_array_equal(model.label(points), labels)
+        np.testing.assert_array_equal(
+            model.label_stream(np.array_split(points, 4)).labels, labels
+        )

@@ -7,6 +7,8 @@ straightforward implementations they replaced; these tests pin that
 contract.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,75 @@ class TestIncrementalSearchEquivalence:
                 expected = np.flatnonzero(overlap_mask(level, lower, upper))
                 actual = np.sort(overlap_rows(level, lower, upper))
                 np.testing.assert_array_equal(actual, expected)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_overlap_rows_matches_overlap_mask_at_fine_levels(self, seed):
+        # Levels 20 and 21 of an H=22 tree have 2**20 and more cells per
+        # axis; the per-axis intervals come from the box bounds, so no
+        # grid-sized table is built.  Bounds sit on cell faces, one ulp
+        # either side of them, inside cells and outside [0, 1].
+        points = _fine_tree_points()
+        tree = _fine_tree()
+        rng = np.random.default_rng(seed)
+        hits = 0
+        for h in (20, 21):
+            level = tree.level(h)
+            scale = float(1 << h)
+            for _ in range(10):
+                anchor = points[rng.integers(0, points.shape[0])]
+                face = np.floor(anchor * scale) / scale
+                lower = face - rng.integers(0, 3, 3) / scale
+                upper = face + rng.integers(0, 3, 3) / scale
+                nudge = rng.integers(0, 4, size=(2, 3))
+                lower = np.where(nudge[0] == 1, np.nextafter(lower, -1.0), lower)
+                lower = np.where(nudge[0] == 2, np.nextafter(lower, 2.0), lower)
+                lower = np.where(nudge[0] == 3, lower + 0.5 / scale, lower)
+                upper = np.where(nudge[1] == 1, np.nextafter(upper, -1.0), upper)
+                upper = np.where(nudge[1] == 2, np.nextafter(upper, 2.0), upper)
+                upper = np.where(nudge[1] == 3, upper + 0.5 / scale, upper)
+                whole = rng.random(3) < 0.3
+                lower[whole] = rng.choice([-0.5, 0.0])
+                upper[whole] = rng.choice([1.0, 1.5])
+                expected = np.flatnonzero(overlap_mask(level, lower, upper))
+                actual = np.sort(overlap_rows(level, lower, upper))
+                np.testing.assert_array_equal(actual, expected)
+                hits += expected.size
+        assert hits > 0
+
+    def test_overlap_rows_at_the_grid_edges(self):
+        level = _fine_tree().level(21)
+        below_one = np.nextafter(1.0, 0.0)
+        for lower, upper, meets in (
+            ([below_one] * 3, [1.0] * 3, True),  # inside the last cell
+            ([-0.5] * 3, [0.0] * 3, True),  # the first cell's lower face
+            ([0.2, 1.0, 0.0], [0.8, 1.5, 1.0], False),  # past the last cell
+            ([0.2, -0.5, 0.0], [0.8, -1e-300, 1.0], False),  # below the first
+            ([0.6, 0.0, 0.0], [0.4, 1.0, 1.0], False),  # empty interval
+            ([np.nan, 0.0, 0.0], [1.0, 1.0, 1.0], False),
+        ):
+            lower, upper = np.array(lower), np.array(upper)
+            expected = np.flatnonzero(overlap_mask(level, lower, upper))
+            assert (expected.size > 0) == meets
+            np.testing.assert_array_equal(
+                np.sort(overlap_rows(level, lower, upper)), expected
+            )
+
+
+def _fine_tree_points():
+    """Blocks of 4x4x4 face-adjacent level-21 cells, one point in each,
+    so a box that admits one coordinate too many meets a populated cell."""
+    rng = np.random.default_rng(21)
+    corners = rng.integers(0, (1 << 21) - 4, size=(30, 1, 3))
+    corners[0], corners[1] = 0, (1 << 21) - 4  # both grid corners
+    block = np.stack(np.meshgrid(*[np.arange(4)] * 3), axis=-1).reshape(1, -1, 3)
+    cells = (corners + block).reshape(-1, 3)
+    return (cells + rng.uniform(0.1, 0.9, cells.shape)) / float(1 << 21)
+
+
+@functools.lru_cache(maxsize=1)
+def _fine_tree():
+    return CountingTree(_fine_tree_points(), n_resolutions=22)
 
 
 @pytest.mark.parametrize("backend", kernels.available_backends())
