@@ -38,8 +38,7 @@ def main() -> None:
     # Rank clusters as lesion candidates: small and far from the bulk.
     print("\ncluster  size   malignant-fraction  verdict")
     for k, cluster in enumerate(result.clusters):
-        members = np.asarray(sorted(cluster.indices))
-        malignant_fraction = float(is_malignant[members].mean())
+        malignant_fraction = float(is_malignant[cluster.indices].mean())
         small = cluster.size < 0.1 * dataset.n_points
         verdict = "FLAG FOR REVIEW" if small else "tissue pattern"
         print(
@@ -52,7 +51,7 @@ def main() -> None:
     ]
     if flagged:
         caught = sum(
-            int(is_malignant[sorted(c.indices)].sum()) for c in flagged
+            int(is_malignant[c.indices].sum()) for c in flagged
         )
         print(
             f"\nflagged clusters contain {caught} of "

@@ -41,7 +41,7 @@ def main() -> None:
           f"({result.extras['n_beta_clusters']} beta-clusters)")
 
     for k, cluster in enumerate(result.clusters):
-        degrees = membership[sorted(cluster.indices), k]
+        degrees = membership[cluster.indices, k]
         print(f"  cluster {k}: {cluster.size:5d} members, "
               f"axes {sorted(cluster.relevant_axes)}, "
               f"degree mean {degrees.mean():.2f} / min {degrees.min():.2f}")

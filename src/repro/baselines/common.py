@@ -6,7 +6,7 @@ from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from repro.types import NOISE_LABEL, ClusteringResult, SubspaceCluster
+from repro.types import NOISE_LABEL, ClusteringResult, records_from_labels
 
 
 def kmeanspp_seeds(
@@ -33,20 +33,29 @@ def kmeanspp_seeds(
     return np.asarray(seeds, dtype=np.int64)
 
 
+def _first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Compact ids by first appearance, plus the original of each id.
+
+    Returns ``(compact, originals)``: non-noise labels map onto
+    ``0..k-1`` in the order their first point appears, noise stays -1,
+    and ``originals[j]`` is the label that became ``j``.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    clustered = labels != NOISE_LABEL
+    originals, first, inverse = np.unique(
+        labels[clustered], return_index=True, return_inverse=True
+    )
+    by_appearance = np.argsort(first)
+    new_id = np.empty_like(by_appearance)
+    new_id[by_appearance] = np.arange(by_appearance.size)
+    compact = np.full(labels.shape, NOISE_LABEL, dtype=np.int64)
+    compact[clustered] = new_id[inverse]
+    return compact, originals[by_appearance]
+
+
 def relabel_compact(labels: np.ndarray) -> np.ndarray:
     """Map arbitrary non-noise labels onto ``0..k-1``, keeping noise at -1."""
-    labels = np.asarray(labels, dtype=np.int64)
-    out = np.full(labels.shape, NOISE_LABEL, dtype=np.int64)
-    next_id = 0
-    mapping: dict[int, int] = {}
-    for i, lab in enumerate(labels):
-        if lab == NOISE_LABEL:
-            continue
-        if lab not in mapping:
-            mapping[int(lab)] = next_id
-            next_id += 1
-        out[i] = mapping[int(lab)]
-    return out
+    return _first_appearance(labels)[0]
 
 
 def result_from_labels(
@@ -59,17 +68,8 @@ def result_from_labels(
     ``axes_for_label`` maps an *original* (pre-compaction) label to an
     iterable of relevant axes; empty clusters vanish during compaction.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    compact = relabel_compact(labels)
-    clusters: list[SubspaceCluster] = []
-    seen: dict[int, int] = {}
-    for i, lab in enumerate(labels):
-        if lab == NOISE_LABEL or int(lab) in seen:
-            continue
-        seen[int(lab)] = int(compact[i])
-    for original, new in sorted(seen.items(), key=lambda kv: kv[1]):
-        members = np.flatnonzero(compact == new)
-        clusters.append(
-            SubspaceCluster.from_iterables(members, axes_for_label(original))
-        )
+    compact, originals = _first_appearance(labels)
+    clusters = records_from_labels(
+        compact, [axes_for_label(int(original)) for original in originals]
+    )
     return ClusteringResult(labels=compact, clusters=clusters, extras=extras or {})

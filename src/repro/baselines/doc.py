@@ -91,15 +91,11 @@ class DOC(SubspaceClusterer):
             labels[members] = cluster_id
             clusters.append(SubspaceCluster.from_iterables(members, axes))
 
+        # Peels that found nothing leave gaps in the ids; close them.
         compact = np.full(n, NOISE_LABEL, dtype=np.int64)
-        final: list[SubspaceCluster] = []
-        for cluster in clusters:
-            members = np.asarray(sorted(cluster.indices))
-            compact[members] = len(final)
-            final.append(
-                SubspaceCluster.from_iterables(members, cluster.relevant_axes)
-            )
-        return ClusteringResult(labels=compact, clusters=final, extras={})
+        for k, cluster in enumerate(clusters):
+            compact[cluster.indices] = k
+        return ClusteringResult(labels=compact, clusters=clusters, extras={})
 
     def _best_cluster(self, points: np.ndarray, rng: np.random.Generator):
         """One greedy-peel step: best (subspace, member mask) found."""

@@ -105,7 +105,7 @@ class RIC:
         labels = np.full(points.shape[0], NOISE_LABEL, dtype=np.int64)
         clusters: list[SubspaceCluster] = []
         for cluster in result.clusters:
-            members_idx = np.asarray(sorted(cluster.indices), dtype=np.int64)
+            members_idx = cluster.indices
             members = points[members_idx]
             axes = relevant_axes_by_vac(members)
             if not axes:

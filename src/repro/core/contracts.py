@@ -28,7 +28,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.env import contracts_from_env
-from repro.types import NOISE_LABEL, AnyArray, DTypeLike, Normalizer
+from repro.types import NOISE_LABEL, AnyArray, ContractError, DTypeLike, Normalizer
 
 __all__ = [
     "ContractError",
@@ -41,10 +41,6 @@ __all__ = [
     "enabled",
     "set_enabled",
 ]
-
-
-class ContractError(ValueError):
-    """An argument broke one of the core's array contracts."""
 
 
 _ENABLED: bool = contracts_from_env(default=True)

@@ -30,7 +30,7 @@ from repro.types import (
     FloatArray,
     IntArray,
     Normalizer,
-    SubspaceCluster,
+    records_from_labels,
 )
 
 
@@ -123,17 +123,18 @@ def assemble_result(
     """Wrap a label vector with one cluster record per merged group.
 
     Shared by the in-memory fit, the streaming and the serving label
-    paths, so every path reports the same records.
+    paths, so every path reports the same records.  A cluster's
+    relevant axes are the union of its β-clusters' axes; its members
+    come from :func:`~repro.types.records_from_labels`, one sort of the
+    labels for all clusters.
     """
-    clusters = []
-    for cluster_id, members in enumerate(groups):
-        axes = {axis for b in members for axis in betas[b].relevant_axes}
-        clusters.append(
-            SubspaceCluster.from_iterables(np.flatnonzero(labels == cluster_id), axes)
-        )
+    axes = [
+        frozenset(axis for b in members for axis in betas[b].relevant_axes)
+        for members in groups
+    ]
     return ClusteringResult(
         labels=labels,
-        clusters=clusters,
+        clusters=records_from_labels(labels, axes),
         extras={
             "n_beta_clusters": len(betas),
             "beta_clusters": betas,

@@ -104,7 +104,7 @@ def cluster_diagnostics(
     d = points.shape[1]
     reports: list[ClusterDiagnostics] = []
     for k, cluster in enumerate(result.clusters):
-        members = points[np.asarray(sorted(cluster.indices), dtype=np.int64)]
+        members = points[cluster.indices]
         stds = (
             members.std(axis=0)
             if members.shape[0] > 1
@@ -144,7 +144,7 @@ def membership_confidence(
     check_array("points", points, dtype=np.float64, ndim=2)
     confidence = np.zeros(points.shape[0], dtype=np.float64)
     for k, cluster in enumerate(result.clusters):
-        members = np.asarray(sorted(cluster.indices), dtype=np.int64)
+        members = cluster.indices
         axes = sorted(cluster.relevant_axes)
         if members.size < 2 or not axes:
             confidence[members] = 1.0

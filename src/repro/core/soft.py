@@ -41,7 +41,7 @@ from repro.types import (
     ClusteringResult,
     FloatArray,
     IntArray,
-    SubspaceCluster,
+    records_from_labels,
 )
 
 
@@ -171,30 +171,21 @@ class SoftMrCC:
             strong = membership.max(axis=1) >= self.membership_threshold
             labels[strong] = best[strong]
 
-        clusters: list[SubspaceCluster] = []
-        kept = 0
-        remap: dict[int, int] = {}
-        axes_per_group = [
-            frozenset().union(*(betas[i].relevant_axes for i in members))
-            for members in groups
-        ]
-        for g in range(len(groups)):
-            members = np.flatnonzero(labels == g)
-            if members.size == 0:
-                continue
-            remap[g] = kept
-            clusters.append(SubspaceCluster.from_iterables(members, axes_per_group[g]))
-            kept += 1
-        labels = np.asarray(
-            [remap.get(int(lab), NOISE_LABEL) for lab in labels], dtype=np.int64
+        # Groups that attracted no hard member drop out; the others keep
+        # their order as cluster ids, in the labels and the membership.
+        clustered = labels != NOISE_LABEL
+        kept = np.flatnonzero(np.bincount(labels[clustered], minlength=len(groups)))
+        remap = np.full(len(groups), NOISE_LABEL, dtype=np.int64)
+        remap[kept] = np.arange(kept.size, dtype=np.int64)
+        labels[clustered] = remap[labels[clustered]]
+        clusters = records_from_labels(
+            labels,
+            [
+                frozenset().union(*(betas[i].relevant_axes for i in groups[g]))
+                for g in kept
+            ],
         )
-        # Align membership columns with the final cluster ids (groups
-        # that attracted no hard member drop out of the matrix).
-        if remap:
-            order = [g for g, _ in sorted(remap.items(), key=lambda kv: kv[1])]
-            membership = membership[:, order]
-        else:
-            membership = membership[:, :0]
+        membership = membership[:, kept]
         self.membership_ = membership
         self.labels_ = labels
         return ClusteringResult(

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.data.normalize import minmax_normalize
-from repro.types import Dataset, SubspaceCluster
+from repro.types import Dataset, records_from_labels
 
 
 def load_points_csv(
@@ -132,10 +132,7 @@ def load_dataset_npz(path: str | Path) -> Dataset:
         labels = archive["labels"]
         name = str(archive["name"])
         n_clusters = int(archive["n_clusters"])
-        clusters = [
-            SubspaceCluster.from_iterables(
-                np.flatnonzero(labels == k), archive[f"axes_{k}"]
-            )
-            for k in range(n_clusters)
-        ]
+        clusters = records_from_labels(
+            labels, [archive[f"axes_{k}"] for k in range(n_clusters)]
+        )
     return Dataset(points=points, labels=labels, clusters=clusters, name=name)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.normalize import clip_unit_cube
-from repro.types import NOISE_LABEL, Dataset, SubspaceCluster
+from repro.types import NOISE_LABEL, Dataset, records_from_labels
 
 SIDES = ("left", "right")
 VIEWS = ("CC", "MLO")
@@ -169,12 +169,7 @@ def kddcup2008_split(
     for k in range(n_structures):
         target = malignant_axes if k >= spec.n_benign_clusters else normal_axes
         target.update(axes_per_cluster[k])
-    clusters = [
-        SubspaceCluster.from_iterables(np.flatnonzero(class_labels == 0), normal_axes),
-        SubspaceCluster.from_iterables(
-            np.flatnonzero(class_labels == 1), malignant_axes
-        ),
-    ]
+    clusters = records_from_labels(class_labels, [normal_axes, malignant_axes])
     return Dataset(
         points=points,
         labels=class_labels,

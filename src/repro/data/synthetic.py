@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.normalize import clip_unit_cube
-from repro.types import NOISE_LABEL, Dataset, SubspaceCluster
+from repro.types import NOISE_LABEL, Dataset, records_from_labels
 
 _MIN_CLUSTER_POINTS = 8
 """Smallest cluster size the generator will emit."""
@@ -243,12 +243,9 @@ def generate_dataset(spec: SyntheticDatasetSpec) -> Dataset:
     points = points[permutation]
     labels = labels[permutation]
 
-    clusters = [
-        SubspaceCluster.from_iterables(
-            np.flatnonzero(labels == k), plan.cluster_specs[k].relevant_axes
-        )
-        for k in range(spec.n_clusters)
-    ]
+    clusters = records_from_labels(
+        labels, [cs.relevant_axes for cs in plan.cluster_specs]
+    )
     return Dataset(
         points=points,
         labels=labels,

@@ -49,7 +49,7 @@ def majority_class_labels(
     fallback = classes[np.argmax(counts)]
     predictions = np.full(class_labels.shape, fallback, dtype=class_labels.dtype)
     for cluster in result.clusters:
-        members = np.asarray(sorted(cluster.indices))
+        members = cluster.indices
         if members.size == 0:
             continue
         values, value_counts = np.unique(class_labels[members], return_counts=True)
@@ -82,7 +82,7 @@ def evaluate_against_classes(
     if np.any(clustered):
         pure = 0
         for cluster in result.clusters:
-            members = np.asarray(sorted(cluster.indices))
+            members = cluster.indices
             _, counts = np.unique(class_labels[members], return_counts=True)
             pure += int(counts.max())
         purity = pure / int(clustered.sum())

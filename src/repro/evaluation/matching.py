@@ -10,7 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.types import SubspaceCluster
+from repro.types import IntArray, SubspaceCluster
+
+
+def intersection_size(a: IntArray, b: IntArray) -> int:
+    """Number of values two sorted, unique index arrays share.
+
+    Each value of the shorter array is looked up in the longer one, so
+    the cost is ``O(short · log long)`` with no merged copy of both.
+    """
+    if a.size > b.size:
+        a, b = b, a
+    if a.size == 0:
+        return 0
+    at = np.searchsorted(b, a)
+    np.minimum(at, b.size - 1, out=at)
+    return int(np.count_nonzero(b[at] == a))
 
 
 def overlap_matrix(
@@ -20,7 +35,7 @@ def overlap_matrix(
     matrix = np.zeros((len(found), len(real)), dtype=np.int64)
     for i, f in enumerate(found):
         for j, r in enumerate(real):
-            matrix[i, j] = len(f.indices & r.indices)
+            matrix[i, j] = intersection_size(f.indices, r.indices)
     return matrix
 
 

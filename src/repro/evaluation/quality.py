@@ -16,25 +16,40 @@ no clusters, both qualities are zero by definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
-from repro.evaluation.matching import dominant_found, dominant_real, overlap_matrix
-from repro.types import ClusteringResult, Dataset, SubspaceCluster
+from repro.evaluation.matching import (
+    dominant_found,
+    dominant_real,
+    intersection_size,
+    overlap_matrix,
+)
+from repro.types import ClusteringResult, Dataset, IntArray, SubspaceCluster
+
+MemberSet = Union[frozenset[int], IntArray]
+"""An axis set, or a cluster's sorted index array."""
 
 
-def precision(found: frozenset, real: frozenset) -> float:
+def _shared(found: MemberSet, real: MemberSet) -> int:
+    if isinstance(found, frozenset) and isinstance(real, frozenset):
+        return len(found & real)
+    return intersection_size(np.asarray(found), np.asarray(real))
+
+
+def precision(found: MemberSet, real: MemberSet) -> float:
     """Eq. 1: fraction of the found set that belongs to the real set."""
-    if not found:
+    if len(found) == 0:
         return 0.0
-    return len(found & real) / len(found)
+    return _shared(found, real) / len(found)
 
 
-def recall(found: frozenset, real: frozenset) -> float:
+def recall(found: MemberSet, real: MemberSet) -> float:
     """Eq. 2: fraction of the real set that the found set covers."""
-    if not real:
+    if len(real) == 0:
         return 0.0
-    return len(found & real) / len(real)
+    return _shared(found, real) / len(real)
 
 
 def _harmonic_mean(a: float, b: float) -> float:
@@ -44,8 +59,8 @@ def _harmonic_mean(a: float, b: float) -> float:
 
 
 def _set_quality(
-    found_sets: list[frozenset],
-    real_sets: list[frozenset],
+    found_sets: list[MemberSet],
+    real_sets: list[MemberSet],
     found_clusters: list[SubspaceCluster],
     real_clusters: list[SubspaceCluster],
 ) -> float:

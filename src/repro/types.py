@@ -11,7 +11,9 @@ Conventions
   paper); generators normalise before returning.
 * Cluster membership is expressed both as a label vector (``-1`` means
   noise) and as explicit index sets, because the paper's Quality metric
-  (Section IV-A) works on point sets.
+  (Section IV-A) works on point sets.  An index set is a sorted, unique,
+  read-only int64 array; :func:`records_from_labels` builds every
+  record of a label vector in one pass.
 * Relevant axes are ``frozenset`` of 0-based axis indices.
 """
 
@@ -46,7 +48,38 @@ NOISE_LABEL = -1
 """Label assigned to points that belong to no cluster."""
 
 
-@dataclass(frozen=True)
+class ContractError(ValueError):
+    """An argument broke one of the package's array contracts.
+
+    Defined here, below every other module, so the records can raise
+    it; :mod:`repro.core.contracts` re-exports it with its checks.
+    """
+
+
+def _index_array(indices: Iterable[SupportsInt] | AnyArray) -> IntArray:
+    """``indices`` as a sorted, unique, read-only int64 vector.
+
+    A read-only int64 vector that is already strictly increasing is
+    kept as it is (the records :func:`records_from_labels` builds are
+    views of one such array); a writable one is copied first, so no
+    caller can change a record through its own reference.  Anything
+    else is sorted and deduplicated.
+    """
+    if isinstance(indices, np.ndarray):
+        array = indices.astype(np.int64, casting="safe", copy=False)
+    else:
+        array = np.fromiter(indices, dtype=np.int64)
+    if array.ndim != 1 or not bool(np.all(array[1:] > array[:-1])):
+        array = np.unique(array)
+    elif not array.flags.writeable:
+        return array
+    elif array is indices:
+        array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SubspaceCluster:
     """A correlation cluster: a set of points plus its relevant axes.
 
@@ -54,15 +87,45 @@ class SubspaceCluster:
     ``E_k`` is the set of axes relevant to the cluster and ``S_k`` the
     set of member points.  The same record describes ground-truth
     ("real") clusters and algorithm output ("found") clusters.
+
+    ``indices`` is a sorted, unique, read-only int64 array: any
+    iterable of ints is accepted and converted on construction.  A
+    large fit's records hold one int64 per clustered point, not one
+    boxed Python int.  Records are equal by value and hashable.
     """
 
-    indices: frozenset[int]
+    indices: IntArray
     relevant_axes: frozenset[int]
+
+    def __init__(
+        self,
+        indices: Iterable[SupportsInt] | AnyArray,
+        relevant_axes: Iterable[SupportsInt],
+    ) -> None:
+        object.__setattr__(self, "indices", _index_array(indices))
+        object.__setattr__(
+            self, "relevant_axes", frozenset(int(a) for a in relevant_axes)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SubspaceCluster):
+            return NotImplemented
+        return self.relevant_axes == other.relevant_axes and bool(
+            np.array_equal(self.indices, other.indices)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.indices.tobytes(), self.relevant_axes))
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Through the constructor, so an unpickled record is read-only
+        # again whatever pickle protocol carried its array.
+        return (SubspaceCluster, (self.indices, self.relevant_axes))
 
     @property
     def size(self) -> int:
         """Number of member points."""
-        return len(self.indices)
+        return int(self.indices.size)
 
     @property
     def dimensionality(self) -> int:
@@ -71,22 +134,55 @@ class SubspaceCluster:
 
     @staticmethod
     def from_iterables(
-        indices: Iterable[SupportsInt], relevant_axes: Iterable[SupportsInt]
+        indices: Iterable[SupportsInt] | AnyArray,
+        relevant_axes: Iterable[SupportsInt],
     ) -> "SubspaceCluster":
-        """Build a cluster from arbitrary iterables of ints.
+        """Build a cluster from arbitrary iterables of ints (the constructor)."""
+        return SubspaceCluster(indices=indices, relevant_axes=relevant_axes)
 
-        Array input is converted in one ``tolist`` call rather than one
-        ``int`` per element: the large fits' cluster records hold
-        millions of indices.
-        """
-        if isinstance(indices, np.ndarray):
-            members = frozenset(np.asarray(indices, dtype=np.int64).tolist())
-        else:
-            members = frozenset(int(i) for i in indices)
-        return SubspaceCluster(
-            indices=members,
-            relevant_axes=frozenset(int(a) for a in relevant_axes),
+
+def records_from_labels(
+    labels: AnyArray, relevant_axes_per_cluster: Iterable[Iterable[SupportsInt]]
+) -> list[SubspaceCluster]:
+    """One record per cluster id ``0..k-1`` of a label vector, in one pass.
+
+    ``k`` is the number of axis sets given.  One stable argsort of the
+    labels, cast to 16-bit keys when ``k`` allows (numpy radix-sorts
+    those), orders every clustered point by cluster and by index at
+    once; noise (``-1``) casts to the largest key and sorts last, so it
+    is cut off the one order array, and each record is a read-only
+    view of its slice.  The records hold one int64 per clustered
+    point between them.
+
+    Raises :class:`ContractError` for any label outside ``-1..k-1``,
+    so no point can be labelled clustered yet sit in no record.
+    """
+    axes = list(relevant_axes_per_cluster)
+    k = len(axes)
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise ContractError(
+            f"labels must be a 1-d integer vector, got {labels.ndim}-d "
+            f"{labels.dtype}"
         )
+    if labels.size and (
+        int(labels.min()) < NOISE_LABEL or int(labels.max()) >= k
+    ):
+        raise ContractError(
+            f"labels must lie in {NOISE_LABEL}..{k - 1} for {k} clusters "
+            f"(observed range {int(labels.min())}..{int(labels.max())})"
+        )
+    key_type = np.uint16 if k < np.iinfo(np.uint16).max else np.uint64
+    keys = labels.astype(key_type)
+    order = np.argsort(keys, kind="stable")
+    bounds = np.searchsorted(keys[order], np.arange(k + 1, dtype=keys.dtype))
+    # No view of ``order`` exists yet, so it can shrink in place.
+    order.resize(int(bounds[k]), refcheck=False)
+    order.flags.writeable = False
+    return [
+        SubspaceCluster(indices=order[bounds[j] : bounds[j + 1]], relevant_axes=axes[j])
+        for j in range(k)
+    ]
 
 
 @dataclass
@@ -131,16 +227,16 @@ class ClusteringResult:
         ----------
         labels:
             Integer labels; noise must already be :data:`NOISE_LABEL`.
-            Non-noise labels must be ``0..k-1``.
+            Non-noise labels must be ``0..k-1``; any other label raises
+            :class:`ContractError`.
         relevant_axes_per_cluster:
             Sequence of axis iterables, one per cluster id.
         """
         labels = np.asarray(labels, dtype=np.int64)
-        clusters: list[SubspaceCluster] = []
-        for k, axes in enumerate(relevant_axes_per_cluster):
-            members = np.flatnonzero(labels == k)
-            clusters.append(SubspaceCluster.from_iterables(members, axes))
-        return ClusteringResult(labels=labels, clusters=clusters)
+        return ClusteringResult(
+            labels=labels,
+            clusters=records_from_labels(labels, relevant_axes_per_cluster),
+        )
 
 
 @dataclass
@@ -198,9 +294,11 @@ class Dataset:
             raise ValueError("labels must have one entry per point")
         if np.any(self.points < 0.0) or np.any(self.points >= 1.0 + 1e-12):
             raise ValueError("points must lie in [0, 1)")
-        for k, cluster in enumerate(self.clusters):
-            members = frozenset(np.flatnonzero(self.labels == k).tolist())
-            if members != cluster.indices:
+        expected = records_from_labels(
+            self.labels, [c.relevant_axes for c in self.clusters]
+        )
+        for k, (cluster, record) in enumerate(zip(self.clusters, expected)):
+            if not np.array_equal(cluster.indices, record.indices):
                 raise ValueError(f"cluster {k} indices disagree with labels")
             if cluster.relevant_axes and max(cluster.relevant_axes) >= self.dimensionality:
                 raise ValueError(f"cluster {k} has an out-of-range relevant axis")

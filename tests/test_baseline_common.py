@@ -62,9 +62,9 @@ class TestResultFromLabels:
             labels, axes_for_label=lambda lab: [lab % 3]
         )
         assert result.n_clusters == 2
-        assert result.clusters[0].indices == frozenset({0, 1})
+        assert result.clusters[0].indices.tolist() == [0, 1]
         assert result.clusters[0].relevant_axes == frozenset({1})  # 4 % 3
-        assert result.clusters[1].indices == frozenset({3})
+        assert result.clusters[1].indices.tolist() == [3]
         assert result.clusters[1].relevant_axes == frozenset({2})  # 8 % 3
 
     def test_extras_passed_through(self):

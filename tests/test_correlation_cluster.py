@@ -200,8 +200,8 @@ class TestBuildCorrelationClusters:
         betas = find_beta_clusters(tree, alpha=1e-10)
         result = build_correlation_clusters(points, betas)
         for k, cluster in enumerate(result.clusters):
-            assert cluster.indices == frozenset(
-                np.flatnonzero(result.labels == k).tolist()
+            assert np.array_equal(
+                cluster.indices, np.flatnonzero(result.labels == k)
             )
 
     def test_every_point_in_at_most_one_cluster(self):

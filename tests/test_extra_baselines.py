@@ -51,7 +51,7 @@ class TestCLIQUE:
         best = max(result.clusters, key=lambda c: c.size)
         assert {1, 3} <= best.relevant_axes
         member_recall = len(
-            best.indices & set(np.flatnonzero(labels == 0))
+            set(best.indices.tolist()) & set(np.flatnonzero(labels == 0).tolist())
         ) / 600
         assert member_recall > 0.8
 

@@ -89,6 +89,6 @@ class TestNpzRoundTrip:
         assert loaded.name == easy_dataset.name
         assert len(loaded.clusters) == len(easy_dataset.clusters)
         for a, b in zip(loaded.clusters, easy_dataset.clusters):
-            assert a.indices == b.indices
+            assert np.array_equal(a.indices, b.indices)
             assert a.relevant_axes == b.relevant_axes
         loaded.validate()

@@ -26,6 +26,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="2-d"):
             MrCC().fit(np.zeros(5))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("n_jobs", [None, 2])
+    def test_rejects_non_finite_input(self, value, normalize, n_jobs):
+        """The tree's scan of the raw points is the fit's only one."""
+        from repro.core.contracts import ContractError
+
+        points = np.random.default_rng(0).uniform(0.0, 0.9, size=(200, 4))
+        points[17, 2] = value
+        with pytest.raises(
+            ContractError, match=r"^points contains NaN or infinite values$"
+        ):
+            MrCC(normalize=normalize, n_jobs=n_jobs).fit(points)
+
 
 class TestClustering:
     def test_finds_planted_clusters(self, medium_dataset):
@@ -41,8 +55,8 @@ class TestClustering:
     def test_labels_match_clusters(self, medium_dataset):
         result = MrCC(normalize=False).fit(medium_dataset.points)
         for k, cluster in enumerate(result.clusters):
-            assert cluster.indices == frozenset(
-                np.flatnonzero(result.labels == k).tolist()
+            assert np.array_equal(
+                cluster.indices, np.flatnonzero(result.labels == k)
             )
 
     def test_pure_noise_finds_nothing(self):

@@ -38,8 +38,9 @@ class TestPipelineInvariants:
         assert covered + result.n_noise == dataset.n_points
         seen: set[int] = set()
         for cluster in result.clusters:
-            assert not (seen & cluster.indices)
-            seen |= cluster.indices
+            members = set(cluster.indices.tolist())
+            assert not (seen & members)
+            seen |= members
 
     @given(spec=dataset_strategy)
     @settings(max_examples=10, deadline=None)

@@ -56,7 +56,7 @@ class TestRotateDataset:
         original, rotated = pair
         assert np.array_equal(original.labels, rotated.labels)
         for a, b in zip(original.clusters, rotated.clusters):
-            assert a.indices == b.indices
+            assert np.array_equal(a.indices, b.indices)
 
     def test_points_back_in_unit_cube(self, pair):
         _, rotated = pair

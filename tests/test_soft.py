@@ -129,6 +129,6 @@ class TestSoftMrCC:
     def test_hard_view_consistent(self, overlapping_points):
         result = SoftMrCC(normalize=False).fit(overlapping_points)
         for k, cluster in enumerate(result.clusters):
-            assert cluster.indices == frozenset(
-                np.flatnonzero(result.labels == k).tolist()
+            assert np.array_equal(
+                cluster.indices, np.flatnonzero(result.labels == k)
             )

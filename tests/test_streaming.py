@@ -150,7 +150,7 @@ class TestStreamingPipeline:
         assert np.array_equal(streamed.labels, batch.labels)
         assert streamed.n_clusters == batch.n_clusters
         for a, b in zip(streamed.clusters, batch.clusters):
-            assert a.indices == b.indices
+            assert np.array_equal(a.indices, b.indices)
             assert a.relevant_axes == b.relevant_axes
 
     def test_label_stream_concatenates_in_order(self, stream_dataset):

@@ -7,9 +7,11 @@ from repro.types import NOISE_LABEL, ClusteringResult, Dataset, SubspaceCluster
 
 
 class TestSubspaceCluster:
-    def test_from_iterables_normalises_to_frozensets(self):
+    def test_from_iterables_normalises_indices_and_axes(self):
         cluster = SubspaceCluster.from_iterables([3, 1, 1], (np.int64(2), 0))
-        assert cluster.indices == frozenset({1, 3})
+        assert cluster.indices.dtype == np.int64
+        assert cluster.indices.tolist() == [1, 3]
+        assert not cluster.indices.flags.writeable
         assert cluster.relevant_axes == frozenset({0, 2})
 
     def test_size_and_dimensionality(self):
@@ -29,8 +31,8 @@ class TestClusteringResult:
         labels = [0, 1, 0, NOISE_LABEL, 1]
         result = ClusteringResult.from_labels(labels, [[0, 1], [2]])
         assert result.n_clusters == 2
-        assert result.clusters[0].indices == frozenset({0, 2})
-        assert result.clusters[1].indices == frozenset({1, 4})
+        assert result.clusters[0].indices.tolist() == [0, 2]
+        assert result.clusters[1].indices.tolist() == [1, 4]
         assert result.clusters[1].relevant_axes == frozenset({2})
 
     def test_n_noise_counts_noise_labels(self):
