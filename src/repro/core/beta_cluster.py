@@ -27,6 +27,7 @@ The search loop follows Algorithm 2 literally:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,11 @@ import numpy as np
 from repro import obs
 from repro.core.contracts import check_probability
 from repro.core.convolution import (
+    _axis_intervals,
     convolve_level,
     level_responses,
     overlap_mask,
-    overlap_rows,
+    rows_covered,
 )
 from repro.core.counting_tree import CountingTree, Level
 from repro.core.hypothesis_test import (
@@ -91,6 +93,11 @@ _FIRST_BLOCK = 1024
 """Cells in the first block of responses a level evaluates; each later
 block of the same level is twice the size of the one before."""
 
+_FIRST_CHUNK = 16
+"""Ranked rows in the first chunk the cursor tests for being taken or
+under a found box; each later chunk of the same advance is twice the
+size of the one before, up to :data:`_FIRST_BLOCK`."""
+
 
 class _LevelSearch:
     """One level's best untaken cell, evaluating as few responses as it can.
@@ -107,6 +114,15 @@ class _LevelSearch:
     ``r* == 2d·n(u)`` and ``row* < u`` — every later cell has a lower
     bound, or the same bound and a higher row, so the lowest-row tie
     rule of :func:`~repro.core.convolution.convolve_level` still holds.
+
+    Exclusion is lazy: the found boxes are kept as this level's integer
+    coordinate intervals (:func:`~repro.core.convolution._axis_intervals`,
+    O(d) per box), and only the ranked rows the cursor reaches are
+    tested against them (:func:`~repro.core.convolution.rows_covered`),
+    in chunks that double from :data:`_FIRST_CHUNK`.  A covered row is
+    marked taken for good, since a box never leaves, so one advance
+    costs about chunk × boxes × d instead of a scan of every cell of
+    every level per find.
     """
 
     def __init__(self, level: Level) -> None:
@@ -119,11 +135,14 @@ class _LevelSearch:
         self.block = _FIRST_BLOCK
         self.ranked = np.empty(0, dtype=np.int64)
         self.cursor = 0
+        self.n_boxes = 0
+        self.box_lo = np.empty((0, level.d), dtype=np.int64)
+        self.box_hi = np.empty((0, level.d), dtype=np.int64)
 
-    _ADVANCE_BLOCK = 1024
-
-    def best_row(self, taken: BoolArray) -> int:
-        """Row of the best untaken cell, or -1 when every cell is taken."""
+    def best_row(self, taken: BoolArray, boxes: Sequence[BetaCluster] = ()) -> int:
+        """Row of the best cell neither taken nor under one of ``boxes``,
+        or -1 when there is none."""
+        self._add_boxes(boxes)
         m = self.order.shape[0]
         while True:
             row = self._first_untaken(taken)
@@ -136,18 +155,43 @@ class _LevelSearch:
                     return row
             self._evaluate_block()
 
+    def _add_boxes(self, boxes: Sequence[BetaCluster]) -> None:
+        # Boxes only accumulate, so only the new ones are converted.
+        for beta in boxes[self.n_boxes :]:
+            interval = _axis_intervals(self.level, beta.lower, beta.upper)
+            if interval is not None:
+                self.box_lo = np.vstack((self.box_lo, interval[0]))
+                self.box_hi = np.vstack((self.box_hi, interval[1]))
+        self.n_boxes = len(boxes)
+
     def _first_untaken(self, taken: BoolArray) -> int:
-        # Skip rows taken since the last pick, a block at a time so the
-        # scan stays vectorised.
+        # Skip the rows taken or covered since the last pick, in chunks
+        # that double so the scan stays vectorised but a pick near the
+        # cursor tests only a few rows against the boxes.
         ranked, cursor = self.ranked, self.cursor
         k = ranked.shape[0]
+        chunk = _FIRST_CHUNK
         while cursor < k:
-            block = ranked[cursor : cursor + self._ADVANCE_BLOCK]
-            eligible = np.flatnonzero(~taken[block])
+            rows = ranked[cursor : cursor + chunk]
+            free = ~taken[rows]
+            covered = np.zeros(rows.shape[0], dtype=bool)
+            if self.box_lo.shape[0]:
+                covered[free] = rows_covered(
+                    self.level, rows[free], self.box_lo, self.box_hi
+                )
+                free &= ~covered
+            eligible = np.flatnonzero(free)
+            passed = int(eligible[0]) if eligible.size else rows.shape[0]
+            # Only the covered rows the cursor passes are marked, so the
+            # count does not depend on the chunk size.
+            excluded = rows[:passed][covered[:passed]]
+            if excluded.size:
+                taken[excluded] = True
+                obs.incr("search.excluded_cells", int(excluded.size))
+            cursor += passed
             if eligible.size:
-                cursor += int(eligible[0])
                 break
-            cursor += block.shape[0]
+            chunk = min(2 * chunk, _FIRST_BLOCK)
         self.cursor = cursor
         return int(ranked[cursor]) if cursor < k else -1
 
@@ -167,19 +211,19 @@ class _SearchState:
     """Per-level caches reused across Algorithm 2's restarts.
 
     The search keeps one *taken* mask per level: the pivots already
-    tried (the paper's ``usedCell``) plus the cells under the boxes
-    already found.  Each level's best untaken cell comes from a
-    :class:`_LevelSearch`, which computes only the responses that can
-    still win, so the pick equals the masked argmax
+    tried (the paper's ``usedCell``) plus the cells its level search
+    has found under the boxes in :attr:`boxes`.  Each level's best
+    untaken cell comes from a :class:`_LevelSearch`, which computes
+    only the responses that can still win and tests only the rows it
+    reaches against the boxes, so the pick equals the masked argmax
     :func:`~repro.core.convolution.convolve_level` would recompute over
-    the whole level on every restart, lowest-row ties included.
-    Exclusion updates touch only the rows inside the new box's axis-0
-    coordinate range (:func:`~repro.core.convolution.overlap_rows`)
-    instead of re-testing every cell of every level per find.
+    the whole level, every box's cells masked, on every restart,
+    lowest-row ties included.
     """
 
     def __init__(self, tree: CountingTree) -> None:
         self.tree = tree
+        self.boxes: list[BetaCluster] = []
         self._taken: dict[int, BoolArray] = {}
         self._levels: dict[int, _LevelSearch] = {}
 
@@ -192,7 +236,7 @@ class _SearchState:
         """Best convolution pivot at level ``h``, or -1 when all taken."""
         if h not in self._levels:
             self._levels[h] = _LevelSearch(self.tree.level(h))
-        return self._levels[h].best_row(self.taken(h))
+        return self._levels[h].best_row(self.taken(h), self.boxes)
 
     def count_bounded(self) -> None:
         """Count each searched level's cells that were never evaluated."""
@@ -203,13 +247,8 @@ class _SearchState:
                 obs.incr(f"convolution.level{h}.bounded", bounded)
 
     def exclude_box(self, beta: BetaCluster) -> None:
-        """Mark every cell overlapping the new β-cluster as taken."""
-        for h in self.tree.levels:
-            if h >= 2:
-                level = self.tree.level(h)
-                rows = overlap_rows(level, beta.lower, beta.upper)
-                obs.incr("search.excluded_cells", int(rows.size))
-                self.taken(h)[rows] = True
+        """Exclude the new β-cluster's space from every later pick."""
+        self.boxes.append(beta)
 
 
 _GROWTH_SHARE = 0.5

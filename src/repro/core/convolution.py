@@ -27,7 +27,7 @@ import numpy as np
 from repro import obs
 from repro.core import kernels
 from repro.core.contracts import ContractError, check_array
-from repro.core.counting_tree import Level, _field_layout
+from repro.core.counting_tree import Level
 from repro.types import BoolArray, FloatArray, IntArray
 
 
@@ -76,55 +76,21 @@ def overlap_mask(
     return np.all((upper >= box_lower) & (lower <= box_upper), axis=1)
 
 
-def overlap_rows(
-    level: Level, box_lower: FloatArray, box_upper: FloatArray
-) -> IntArray:
-    """Rows of cells sharing data space with one β-cluster box.
+def rows_covered(
+    level: Level, rows: IntArray, box_lo: IntArray, box_hi: IntArray
+) -> BoolArray:
+    """Which of ``rows`` hold a cell inside at least one box.
 
-    Flags exactly the rows :func:`overlap_mask` flags, at a fraction of
-    the work, by exploiting two facts about β-cluster boxes:
-
-    * an axis whose box bounds span all of ``[0, 1]`` (every irrelevant
-      axis) can never reject a cell, so the per-axis predicate runs
-      only over *binding* axes — the handful the MDL cut kept;
-    * the sorted-key order is lexicographic, so when axis 0 binds, a
-      ``searchsorted`` over the packed cell words, whose first word's
-      top field is axis 0, bounds the candidate rows to the box's
-      axis-0 cell range.
+    ``box_lo``/``box_hi`` are ``(k, d)``: each box's per-axis closed
+    coordinate interval from :func:`_axis_intervals`, so the cells one
+    box covers are exactly those :func:`overlap_mask` flags for it.
+    Only the cells at ``rows`` are unpacked from the level's words; the
+    cost is O(rows · k · d), whatever the level's size.
     """
-    n_coords = 1 << level.h
-    interval = _axis_intervals(level, box_lower, box_upper)
-    if interval is None:
-        return np.empty(0, dtype=np.int64)
-    lo, hi = interval
-    binding = (lo > 0) | (hi < n_coords - 1)
-    if not np.any(binding):
-        return np.arange(level.n_cells, dtype=np.int64)
-
-    if binding[0]:
-        # Axis 0 binds: the key order is lexicographic, so its cells
-        # sit in one contiguous run of the rows.  Axis 0 is the top
-        # field of the first word, so a probe holding only that field
-        # bounds the run; past the field's last value ``(hi + 1) <<
-        # shift`` can reach 2**64, so a run to the grid's end ends at m.
-        shift = _field_layout(level.d, level.width)[2][0]
-        probe = np.zeros((1, level.words.shape[1]), dtype=np.uint64)
-        probe[0, 0] = np.uint64(lo[0]) << shift
-        start = int(level.search_words(probe)[0])
-        if hi[0] == n_coords - 1:
-            stop = level.n_cells
-        else:
-            probe[0, 0] = np.uint64(hi[0] + 1) << shift
-            stop = int(level.search_words(probe)[0])
-    else:
-        start, stop = 0, level.n_cells
-    if start >= stop:
-        return np.empty(0, dtype=np.int64)
-    # No cell lies past the grid's last coordinate, so an interval that
-    # reaches it may reach the field's last value: the scan then skips
-    # that axis as unbound when fields are wider than the grid.
-    hi[hi == n_coords - 1] = (1 << level.width) - 1
-    return kernels.active_backend().box_scan(level, lo, hi, start, stop)
+    coords = level.coords_of(rows)[:, np.newaxis, :]
+    inside = np.all((coords >= box_lo) & (coords <= box_hi), axis=2)
+    covered: BoolArray = np.any(inside, axis=1)
+    return covered
 
 
 def _axis_intervals(

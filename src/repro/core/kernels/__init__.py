@@ -1,7 +1,7 @@
 """Pluggable compute backends for the MrCC hot-path kernels.
 
 The measured bottlenecks of a fit and of serving run through one of two
-interchangeable backends, seven entry points each:
+interchangeable backends, six entry points each:
 
 * the Counting-tree build — ``cell_words`` bins the points (unit-box
   points, or raw points it maps through a fitted min-max
@@ -9,10 +9,9 @@ interchangeable backends, seven entry points each:
   cell word and parity word, and
   ``half_counts`` turns group-ordered child words into the half-space
   counts ``P[j]`` of every level;
-* the Laplacian convolution responses (``level_responses``), the
+* the Laplacian convolution responses (``level_responses``) and the
   six-region binomial significance test (``six_region`` and
-  ``binom_thetas``) and the β-cluster box-exclusion scan
-  (``box_scan``), on the key-ordered
+  ``binom_thetas``), on the key-ordered
   :class:`~repro.core.counting_tree.Level` itself (the cext kernels
   read its packed cell words and uint32 counts, the numpy oracle the
   void keys and coordinates it derives from them);
@@ -37,7 +36,7 @@ cext when it builds and numpy otherwise; naming a backend demands exactly
 that one and raises a :class:`BackendUnavailableError` carrying the
 probe's reason when it cannot load.  The oracle policy is structural:
 compiled backends either compute integer quantities exactly (cell
-words, half-space counts, responses, region counts, scans), repeat the
+words, half-space counts, responses, region counts), repeat the
 oracle's float arithmetic and comparisons exactly (binning, labelling),
 or flag borderline binomial tails back to the scipy
 oracle, so every backend yields bit-identical clusterings and
@@ -119,7 +118,7 @@ class _BinomThetasKernel(Protocol):
 
 @dataclass(frozen=True)
 class Backend:
-    """One loaded backend: metadata plus the seven kernel entry points."""
+    """One loaded backend: metadata plus the six kernel entry points."""
 
     name: str
     compiled: bool
@@ -127,7 +126,6 @@ class Backend:
     cell_words: _CellWordsKernel
     half_counts: _HalfCountsKernel
     level_responses: Callable[[Level, IntArray], IntArray]
-    box_scan: Callable[[Level, IntArray, IntArray, int, int], IntArray]
     label_rows: _LabelRowsKernel
     six_region: _SixRegionKernel
     binom_thetas: _BinomThetasKernel
@@ -141,7 +139,6 @@ def _load_numpy() -> Backend:
         cell_words=reference.cell_words,
         half_counts=reference.half_counts,
         level_responses=reference.level_responses,
-        box_scan=reference.box_scan,
         label_rows=reference.label_rows,
         six_region=reference.six_region,
         binom_thetas=reference.binom_thetas,
@@ -279,13 +276,6 @@ def warm_up(backend: Backend) -> None:
         2,
     )
     backend.level_responses(level, np.array([0, 2], dtype=np.int64))
-    backend.box_scan(
-        level,
-        np.zeros(2, dtype=np.int64),
-        np.ones(2, dtype=np.int64),
-        0,
-        3,
-    )
     backend.label_rows(
         np.array([[0.25, 0.5], [0.75, 0.5]], dtype=np.float64),
         np.array([[0.0, 0.0], [0.5, 0.0]], dtype=np.float64),

@@ -7,8 +7,8 @@ statement into C, compiled once into a content-addressed shared object
 under the system temporary directory, and bound through :mod:`ctypes`.
 Everything about the algorithms — the galloping forward searches and
 the binary search over a level's packed uint64 cell words
-(:attr:`~repro.core.counting_tree.Level.words`), the box test on the
-fields a box binds, the guard-banded binomial tail — is identical to
+(:attr:`~repro.core.counting_tree.Level.words`), the row-once
+labelling test, the guard-banded binomial tail — is identical to
 the loops module; only the executor differs.
 
 Compilation failures of any kind (no compiler, sandboxed tmpdir,
@@ -207,59 +207,31 @@ void level_responses(const uint64_t *words, const uint32_t *counts,
     }
 }
 
-/* Only the fields the box binds are unpacked and tested: an axis
- * whose interval is the whole field cannot reject a cell. */
-int64_t box_scan(const uint64_t *words, int64_t m, int64_t n_words,
-                 int64_t d, int64_t width, const int64_t *lo,
-                 const int64_t *hi, int64_t start, int64_t stop,
-                 int64_t *out) {
-    if (stop > m) stop = m;
-    if (start < 0) start = 0;
-    int64_t per_word = 64 / width;
-    int64_t field = ((int64_t)1 << width) - 1;
-    int64_t found = 0;
-    for (int64_t position = start; position < stop; position++) {
-        int inside = 1;
-        int64_t w = 0;
-        int64_t last = per_word < d ? per_word : d;
-        for (int64_t axis = 0; axis < d; axis++) {
-            if (axis == last) {
-                w += 1;
-                last += per_word;
-                if (last > d) last = d;
-            }
-            if (lo[axis] > 0 || hi[axis] < field) {
-                int64_t c = (int64_t)((words[position * n_words + w]
-                                       >> ((last - 1 - axis) * width))
-                                      & (uint64_t)field);
-                if (c < lo[axis] || c > hi[axis]) { inside = 0; break; }
-            }
-        }
-        if (inside) out[found++] = position;
-    }
-    return found;
-}
-
-/* First-match labelling over boxes flattened in group order; the
- * negated closed test keeps NaN rows noise (-1, NOISE_LABEL).  n_norm
- * > 0 maps each raw value as it is read, exactly as in cell_words. */
+/* First-match labelling over boxes flattened in group order.  Each
+ * row is read once into the d-length scratch row -- mapped as in
+ * cell_words when n_norm > 0 -- and every box is tested against that
+ * row; the negated closed test keeps NaN rows noise (-1,
+ * NOISE_LABEL). */
 void label_rows(const double *points, int64_t n, int64_t d,
                 const double *lower, const double *upper,
                 const int64_t *box_group, int64_t n_boxes,
                 const double *lo, const double *span, int64_t n_norm,
-                double below_one, int64_t *out) {
+                double below_one, double *row, int64_t *out) {
     for (int64_t i = 0; i < n; i++) {
+        for (int64_t k = 0; k < d; k++) {
+            double x = points[i * d + k];
+            if (n_norm > 0) {
+                if (span[k] > 0.0) x = (x - lo[k]) / span[k]; else x = 0.0;
+                if (x < 0.0) x = 0.0;
+                if (x > below_one) x = below_one;
+            }
+            row[k] = x;
+        }
         int64_t label = -1;
         for (int64_t b = 0; b < n_boxes; b++) {
             int inside = 1;
             for (int64_t k = 0; k < d; k++) {
-                double x = points[i * d + k];
-                if (n_norm > 0) {
-                    if (span[k] > 0.0) x = (x - lo[k]) / span[k]; else x = 0.0;
-                    if (x < 0.0) x = 0.0;
-                    if (x > below_one) x = below_one;
-                }
-                if (!(x >= lower[b * d + k] && x <= upper[b * d + k])) {
+                if (!(row[k] >= lower[b * d + k] && row[k] <= upper[b * d + k])) {
                     inside = 0;
                     break;
                 }
@@ -521,15 +493,11 @@ def load() -> dict[str, Any]:
         _U64P, _U32P, ctypes.c_int64, ctypes.c_int64, _U64P, _U32P,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64P,
     ]
-    lib.box_scan.restype = ctypes.c_int64
-    lib.box_scan.argtypes = [
-        _U64P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int64, _I64P, _I64P, ctypes.c_int64, ctypes.c_int64, _I64P,
-    ]
     lib.label_rows.restype = None
     lib.label_rows.argtypes = [
         _F64P, ctypes.c_int64, ctypes.c_int64, _F64P, _F64P, _I64P,
-        ctypes.c_int64, _F64P, _F64P, ctypes.c_int64, ctypes.c_double, _I64P,
+        ctypes.c_int64, _F64P, _F64P, ctypes.c_int64, ctypes.c_double, _F64P,
+        _I64P,
     ]
     lib.six_region.restype = None
     lib.six_region.argtypes = [
@@ -620,23 +588,6 @@ def load() -> dict[str, Any]:
         )
         return out
 
-    def box_scan(
-        level: Level, lo: IntArray, hi: IntArray, start: int, stop: int
-    ) -> IntArray:
-        m, n_words = level.words.shape
-        span = max(0, min(stop, m) - max(start, 0))
-        out = np.empty(span, dtype=np.int64)
-        if span == 0:
-            return out
-        found = lib.box_scan(
-            np.ascontiguousarray(level.words, dtype=np.uint64), m, n_words,
-            level.d, level.width,
-            np.ascontiguousarray(lo, dtype=np.int64),
-            np.ascontiguousarray(hi, dtype=np.int64),
-            start, stop, out,
-        )
-        return out[:found]
-
     def label_rows(
         points: FloatArray,
         lower: FloatArray,
@@ -651,6 +602,9 @@ def load() -> dict[str, Any]:
                 f"{box_group.shape[0]} boxes over {d} axes"
             )
         lo, span = _norm_arrays(normalizer, d)
+        # The scratch row is allocated here, d long, so the C loop's
+        # row[k] stays within the d it is passed.
+        row = np.empty(d, dtype=np.float64)
         out = np.empty(n, dtype=np.int64)
         lib.label_rows(
             np.ascontiguousarray(points, dtype=np.float64), n, d,
@@ -660,7 +614,7 @@ def load() -> dict[str, Any]:
             box_group.shape[0],
             np.ascontiguousarray(lo, dtype=np.float64),
             np.ascontiguousarray(span, dtype=np.float64),
-            lo.shape[0], _BELOW_ONE, out,
+            lo.shape[0], _BELOW_ONE, row, out,
         )
         return out
 
@@ -701,7 +655,6 @@ def load() -> dict[str, Any]:
         "cell_words": cell_words,
         "half_counts": half_counts,
         "level_responses": level_responses,
-        "box_scan": box_scan,
         "label_rows": label_rows,
         "six_region": six_region,
         "binom_thetas": binom_thetas,

@@ -11,7 +11,7 @@ passes compare the C loop skeletons and ``#define`` constants against
 it, so a C edit that drifts from the spec fails statically even before
 the Hypothesis bit-identity suite runs.
 
-Five structural facts the kernels exploit:
+Four structural facts the kernels exploit:
 
 * a packed cell word keeps one fixed-width field per axis, axis 0 most
   significant, so a row is binned and packed in one pass over its
@@ -25,9 +25,6 @@ Five structural facts the kernels exploit:
   forward galloping searches over one or a few uint64 words per cell,
   not per-probe binary searches over ``d`` columns (see
   :func:`level_responses`);
-* a β-cluster box admits, per axis, one contiguous integer coordinate
-  interval ``[lo, hi]``, so the exclusion scan is a flat interval test
-  on the fields the box binds;
 * the binomial tail ``P(X > t)`` is a monotone function of ``t``, so
   the critical value is a binary search over stable log-space tail
   sums, with a relative guard band that routes borderline cases back
@@ -296,53 +293,6 @@ def level_responses(
     return responses
 
 
-def box_scan(
-    words: AnyArray,
-    d: int,
-    width: int,
-    lo: IntArray,
-    hi: IntArray,
-    start: int,
-    stop: int,
-) -> IntArray:
-    """Positions in ``[start, stop)`` whose cell lies inside the box.
-
-    ``lo``/``hi`` are the per-axis closed integer coordinate intervals
-    of one β-cluster box; an axis whose interval is the whole field
-    ``[0, 2^width − 1]`` cannot reject a cell, so only the fields the
-    box binds are unpacked from ``words`` and tested.  The caller has
-    already bounded the candidate range over axis 0 via the key order.
-    """
-    m, n_words = words.shape
-    if stop > m:
-        stop = m
-    if start < 0:
-        start = 0
-    per_word = 64 // width
-    field = (1 << width) - 1
-    out = np.empty(stop - start if stop > start else 0, dtype=np.int64)
-    found = 0
-    for position in range(start, stop):
-        inside = True
-        w = 0
-        last = per_word if per_word < d else d
-        for axis in range(d):
-            if axis == last:
-                w += 1
-                last += per_word
-                if last > d:
-                    last = d
-            if lo[axis] > 0 or hi[axis] < field:
-                c = (int(words[position, w]) >> ((last - 1 - axis) * width)) & field
-                if c < lo[axis] or c > hi[axis]:
-                    inside = False
-                    break
-        if inside:
-            out[found] = position
-            found += 1
-    return out[:found]
-
-
 def label_rows(
     points: FloatArray,
     lower: FloatArray,
@@ -361,30 +311,35 @@ def label_rows(
     groups' boxes share a face the lowest group id wins; a row no box
     contains is ``NOISE_LABEL``.  The containment test is the closed float test
     ``lo <= x <= hi``, negated as a whole so a NaN coordinate fails it
-    and the row stays noise.  ``lo``/``span``/``below_one`` map each raw
-    coordinate as it is read, exactly as in :func:`cell_words`; empty
-    ``lo``/``span`` test the coordinates as given.
+    and the row stays noise.  Each row is read once into a ``d``-long
+    scratch ``row``, its raw coordinates mapped by
+    ``lo``/``span``/``below_one`` exactly as in :func:`cell_words`
+    (empty ``lo``/``span`` copy them as given), and every box is tested
+    against that row, so no coordinate is mapped twice.
     """
     n, d = points.shape
     n_norm = lo.shape[0]
     n_boxes = lower.shape[0]
+    row = np.empty(d, dtype=np.float64)
     out = np.empty(n, dtype=np.int64)
     for i in range(n):
+        for k in range(d):
+            x = points[i, k]
+            if n_norm > 0:
+                if span[k] > 0.0:
+                    x = (x - lo[k]) / span[k]
+                else:
+                    x = 0.0
+                if x < 0.0:
+                    x = 0.0
+                if x > below_one:
+                    x = below_one
+            row[k] = x
         label = NOISE_LABEL
         for b in range(n_boxes):
             inside = True
             for k in range(d):
-                x = points[i, k]
-                if n_norm > 0:
-                    if span[k] > 0.0:
-                        x = (x - lo[k]) / span[k]
-                    else:
-                        x = 0.0
-                    if x < 0.0:
-                        x = 0.0
-                    if x > below_one:
-                        x = below_one
-                if not (x >= lower[b, k] and x <= upper[b, k]):
+                if not (row[k] >= lower[b, k] and row[k] <= upper[b, k]):
                     inside = False
                     break
             if inside:

@@ -5,8 +5,8 @@ before the backend layer existed: binning into an int64 coordinate
 matrix and packing it with blocked dot products for the tree's cell
 words, one ``reduceat`` per axis for its half-space counts, integer
 arithmetic plus sorted-key ``searchsorted`` joins for the convolution
-and the six-region neighbourhood, the interval test for the
-box-exclusion scan and for point labelling, and the scipy binomial
+and the six-region neighbourhood, the interval test for point
+labelling, and the scipy binomial
 inverse survival function for the critical values.  The compiled
 backends are validated against these functions — any disagreement is a
 bug in the compiled path, never in this one.
@@ -109,18 +109,6 @@ def level_responses(level: Level, rows: IntArray) -> IntArray:
             responses[targets] -= level.n[positions[found]]
         shifted[:, axis] = column
     return responses
-
-
-def box_scan(
-    level: Level, lo: IntArray, hi: IntArray, start: int, stop: int
-) -> IntArray:
-    """Rows within ``[start, stop)`` whose cells lie inside the box."""
-    block = level.coords[start:stop]
-    if block.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    hit = np.all((block >= lo) & (block <= hi), axis=1)
-    rows: IntArray = start + np.flatnonzero(hit)
-    return rows
 
 
 def label_rows(

@@ -29,9 +29,39 @@ def minmax_params(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if points.shape[0] == 0:
         d = points.shape[1]
         return np.zeros(d, dtype=np.float64), np.ones(d, dtype=np.float64)
-    lo = points.min(axis=0)
-    span = points.max(axis=0) - lo
-    return lo, span
+    lo, hi = _column_min_max(points)
+    return lo, hi - lo
+
+
+_WIDE_ROWS = 64
+"""Rows folded into one row of the wide view :func:`_column_min_max`
+reduces."""
+
+
+def _column_min_max(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column minimum and maximum of a 2-d float64 array.
+
+    An axis-0 reduction over a few columns spends most of its time
+    stepping from row to row, so a C-contiguous input is viewed, not
+    copied, as ``(n // 64, 64·d)`` rows: one long reduction leaves a
+    ``(64, d)`` block, reduced again, and the ``n mod 64`` tail rows are
+    folded in last.  Any other layout, and zero axes, take the plain
+    reductions.  Min and max are exact and NaN propagates through every
+    step, so the result equals ``points.min(axis=0)`` and
+    ``points.max(axis=0)`` — up to which of ``0.0``/``-0.0`` a column
+    holding both returns.
+    """
+    n, d = points.shape
+    wide = n - n % _WIDE_ROWS
+    if wide == 0 or d == 0 or not points.flags.c_contiguous:
+        return points.min(axis=0), points.max(axis=0)
+    view = points[:wide].reshape(-1, _WIDE_ROWS * d)
+    lo = view.min(axis=0).reshape(_WIDE_ROWS, d).min(axis=0)
+    hi = view.max(axis=0).reshape(_WIDE_ROWS, d).max(axis=0)
+    if wide < n:
+        np.minimum(lo, points[wide:].min(axis=0), out=lo)
+        np.maximum(hi, points[wide:].max(axis=0), out=hi)
+    return lo, hi
 
 
 def apply_minmax(

@@ -46,12 +46,6 @@ class LoopsBackend:
         )
 
     @staticmethod
-    def box_scan(level, lo, hi, start, stop):
-        return loops.box_scan(
-            level.words, level.d, level.width, lo, hi, start, stop
-        )
-
-    @staticmethod
     def label_rows(points, lower, upper, box_group, normalizer=None):
         return loops.label_rows(
             points, lower, upper, box_group, *_norm_args(normalizer)

@@ -5,9 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import beta_cluster, kernels
 from repro.core.beta_cluster import (
     BetaCluster,
@@ -15,7 +16,7 @@ from repro.core.beta_cluster import (
     find_beta_clusters,
     reference_find_beta_clusters,
 )
-from repro.core.convolution import convolve_level, level_responses
+from repro.core.convolution import convolve_level, level_responses, overlap_mask
 from repro.core.counting_tree import CountingTree, Level
 from repro.core.mrcc import MrCC
 from repro.core.soft import find_beta_clusters_soft
@@ -346,3 +347,100 @@ class TestBoundOrderedSearch:
                 pruned = find_beta_clusters_soft(tree, alpha=1e-10)
         assert len(unpruned) >= 2
         _same_betas(pruned, unpruned)
+
+
+def _many_cluster_points(seed, eta=4000, d=10, n_clusters=40):
+    """The perf baseline's β-search shape (40 Gaussian clusters, sd
+    0.02, 10 % uniform noise) at small η: 20-30 β-clusters at H=4, so
+    the search restarts often against many found boxes."""
+    rng = np.random.default_rng(seed)
+    n_noise = eta // 10
+    per_cluster = (eta - n_noise) // n_clusters
+    parts = [
+        rng.normal(rng.uniform(0.15, 0.85, size=d), 0.02, size=(per_cluster, d))
+        for _ in range(n_clusters)
+    ]
+    parts.append(rng.uniform(0, 1, size=(eta - n_clusters * per_cluster, d)))
+    return np.clip(np.vstack(parts), 0.0, np.nextafter(1.0, 0.0))
+
+
+def _search_with(tree, first_block, first_chunk, soft=False):
+    """β-clusters and counters of one search with shrunken blocks."""
+    search = find_beta_clusters_soft if soft else find_beta_clusters
+    with mock.patch.object(beta_cluster, "_FIRST_BLOCK", first_block):
+        with mock.patch.object(beta_cluster, "_FIRST_CHUNK", first_chunk):
+            with obs.capture() as tracer:
+                betas = search(tree, alpha=1e-10)
+    return betas, dict(tracer.counters)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestLazyExclusion:
+    """Found boxes are tested only at the cursor, yet exclude exactly
+    the cells the seed search masks over every level."""
+
+    @pytest.fixture(autouse=True)
+    def _pin_backend(self, backend, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+
+    @given(
+        seed=st.integers(0, 1000),
+        first_block=st.integers(1, 3),
+        first_chunk=st.integers(1, 3),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_equals_the_reference_search_with_many_boxes(
+        self, backend, seed, first_block, first_chunk
+    ):
+        tree = _tree(_many_cluster_points(seed))
+        expected = reference_find_beta_clusters(tree, alpha=1e-10)
+        assume(len(expected) >= 20)
+        betas, counters = _search_with(tree, first_block, first_chunk)
+        _same_betas(betas, expected)
+        # The cursor passes the same rows whatever its chunk size, so
+        # the count of covered rows it passed does not depend on it.
+        _, default = _search_with(tree, first_block, beta_cluster._FIRST_CHUNK)
+        assert counters["search.excluded_cells"] > 0
+        assert counters == default
+
+    @pytest.mark.parametrize("first_chunk", [1, 2, 16])
+    def test_covered_rows_are_taken_only_up_to_the_pick(self, backend, first_chunk):
+        tree = _tree(_many_cluster_points(3))
+        betas = reference_find_beta_clusters(tree, alpha=1e-10)
+        level = tree.level(3)
+        covered = np.zeros(level.n_cells, dtype=bool)
+        for beta in betas:
+            covered |= overlap_mask(level, beta.lower, beta.upper)
+        responses = level_responses(level)
+        with mock.patch.object(beta_cluster, "_FIRST_CHUNK", first_chunk):
+            search = beta_cluster._LevelSearch(level)
+            taken = np.zeros(level.n_cells, dtype=bool)
+            for _ in range(5):
+                before = taken.copy()
+                row = search.best_row(taken, betas)
+                assert row == convolve_level(responses, before | covered)
+                # Only covered rows became taken, and only rows ranked
+                # ahead of the pick.
+                newly = taken & ~before
+                assert np.all(covered[newly])
+                best = responses[row]
+                ties = (responses == best) & (np.arange(level.n_cells) < row)
+                ahead = (responses > best) | ties
+                assert np.all(ahead[newly])
+                taken[row] = True
+
+    def test_soft_search_excludes_nothing(self, backend):
+        tree = _tree(_many_cluster_points(5))
+        hard, hard_counters = _search_with(tree, 2, 2)
+        soft, soft_counters = _search_with(tree, 2, 2, soft=True)
+        assert hard_counters["search.excluded_cells"] > 0
+        assert "search.excluded_cells" not in soft_counters
+        # Without exclusion a later pivot may sit inside an earlier box.
+        inside_earlier = [
+            any(
+                overlap_mask(tree.level(b.level), a.lower, a.upper)[b.center_row]
+                for a in soft[:i]
+            )
+            for i, b in enumerate(soft)
+        ]
+        assert any(inside_earlier)

@@ -98,6 +98,67 @@ class TestMergeBetaClusters:
         groups = merge_beta_clusters([a, b])
         assert groups == [[0], [1]]
 
+    def test_empty_and_single(self):
+        assert merge_beta_clusters([]) == []
+        assert merge_beta_clusters([_beta([0.2], [0.4], [True])]) == [[0]]
+
+    def test_touching_boxes_stay_apart(self):
+        # A shared face has zero measure, on any axis.
+        a = _beta([0.0, 0.0], [0.5, 0.5], [True, True])
+        right = _beta([0.5, 0.0], [0.75, 0.5], [True, True])
+        above = _beta([0.0, 0.5], [0.5, 0.75], [True, True])
+        corner = _beta([0.5, 0.5], [0.75, 0.75], [True, True])
+        assert merge_beta_clusters([a, right, above, corner]) == [[0], [1], [2], [3]]
+        # Overlapping by one ulp is overlapping.
+        nudged = _beta([np.nextafter(0.5, 0.0), 0.0], [0.75, 0.5], [True, True])
+        assert merge_beta_clusters([a, nudged]) == [[0, 1]]
+
+    def test_overlap_must_hold_on_every_axis(self):
+        a = _beta([0.0, 0.0, 0.0], [0.6, 0.6, 1.0], [True, True, False])
+        b = _beta([0.4, 0.7, 0.0], [0.9, 0.9, 1.0], [True, True, False])
+        assert merge_beta_clusters([a, b]) == [[0], [1]]
+
+    def test_transitive_chain_through_the_last_box(self):
+        # 0 and 1 are disjoint; only the last box bridges them.
+        a = _beta([0.0], [0.3], [True])
+        b = _beta([0.6], [0.9], [True])
+        bridge = _beta([0.2], [0.7], [True])
+        assert merge_beta_clusters([a, b, bridge]) == [[0, 1, 2]]
+        # The same through the first box.
+        assert merge_beta_clusters([bridge, a, b]) == [[0, 1, 2]]
+
+    def test_long_chain_whose_ends_do_not_meet(self):
+        boxes = [_beta([0.1 * i], [0.1 * i + 0.15], [True]) for i in range(7)]
+        assert not boxes[0].shares_space_with(boxes[-1])
+        assert merge_beta_clusters(boxes[::-1]) == [list(range(7))]
+
+    def test_groups_ordered_by_smallest_member(self):
+        x = [_beta([0.0], [0.2], [True]), _beta([0.1], [0.25], [True])]
+        y = [_beta([0.4], [0.5], [True]), _beta([0.45], [0.55], [True])]
+        z = _beta([0.8], [0.9], [True])
+        groups = merge_beta_clusters([y[0], x[0], z, y[1], x[1]])
+        assert groups == [[0, 3], [1, 4], [2]]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_groups_are_the_connected_components(self, seed):
+        rng = np.random.default_rng(seed)
+        lower = rng.uniform(0.0, 0.8, size=(12, 2))
+        betas = [
+            _beta(lo, lo + rng.uniform(0.02, 0.2, 2), [True, True], idx=i)
+            for i, lo in enumerate(lower)
+        ]
+        # Brute-force closure of the overlap relation.
+        overlaps = [[a.shares_space_with(b) for b in betas] for a in betas]
+        reach = np.array(overlaps) | np.eye(12, dtype=bool)
+        for _ in range(12):
+            reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
+        expected = []
+        for i in range(12):
+            members = [int(j) for j in np.flatnonzero(reach[i])]
+            if members[0] == i:
+                expected.append(members)
+        assert merge_beta_clusters(betas) == expected
+
 
 class TestLabelPoints:
     def test_points_inside_boxes_get_group_labels(self):

@@ -1,11 +1,15 @@
 """Tests for the six-region binomial significance test (Section III-B)."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from repro.core import hypothesis_test
 from repro.core.counting_tree import CountingTree
 from repro.core.hypothesis_test import (
     CENTER_PROBABILITY,
@@ -52,6 +56,40 @@ class TestCriticalValue:
     @settings(max_examples=40, deadline=None)
     def test_vectorised_agrees_with_scalar(self, n, alpha):
         assert critical_values(np.array([n]), alpha)[0] == critical_value(n, alpha)
+
+    @pytest.mark.parametrize("alpha", [1e-10, 0.05, 0.5, 0.999])
+    def test_zero_points_is_zero_at_any_alpha(self, alpha):
+        assert critical_value(0, alpha) == 0
+
+    def test_alpha_bounds_are_open(self):
+        for alpha in (0.0, 1.0, -0.25, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="alpha"):
+                critical_value(10, alpha)
+        tiny, almost_one = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+        assert critical_value(10, tiny) == 10
+        assert critical_value(10, almost_one) == 0
+
+    def test_undefined_isf_means_no_count_can_reject(self, monkeypatch):
+        # scipy answers NaN where the tail has no inverse; the critical
+        # value is then the whole neighbourhood, which nothing exceeds.
+        monkeypatch.setattr(hypothesis_test.stats.binom, "isf", lambda *args: np.nan)
+        assert critical_value(37, 1e-10) == 37
+        assert critical_value(0, 1e-10) == 0
+
+    @pytest.mark.parametrize("alpha", [1e-10, 1e-6, 1e-3, 0.01, 0.05, 0.2, 0.5, 0.9])
+    def test_matches_the_exact_binomial_tail(self, alpha):
+        """For small n, θ is the smallest t whose exact rational tail
+        ``Σ_{k>t} C(n,k) p^k (1-p)^(n-k)`` is at most ``alpha``."""
+        p, bound = Fraction(1, 6), Fraction(alpha)
+        for n in range(1, 41):
+            terms = [comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+            tail, theta = Fraction(0), n
+            for t in range(n - 1, -1, -1):
+                tail += terms[t + 1]
+                if tail > bound:
+                    break
+                theta = t
+            assert critical_value(n, alpha) == theta, (n, alpha)
 
 
 class TestNeighborhoodCounts:

@@ -438,36 +438,6 @@ class TestKernelEquivalence:
     @example(level=DENSE_LEVEL, seed=3)
     @example(level=WIDE_FIELD_LEVEL, seed=4)
     @settings(max_examples=40, deadline=None)
-    def test_box_scan_bit_identical(self, name, level, seed):
-        impl = implementation(name)
-        d, m, limit = level.coords.shape[1], level.n_cells, _limit(level)
-        rng = np.random.default_rng(seed)
-        # A box around one cell: per axis the whole grid (the box does
-        # not bind) or an interval of up to three coordinates holding
-        # the cell's; one axis may then move off the cell, so the scan
-        # both keeps and rejects cells on binding axes in every word.
-        anchor = level.coords[rng.integers(0, m)]
-        lo = np.maximum(anchor - rng.integers(0, 2, size=d), 0)
-        hi = np.minimum(anchor + rng.integers(0, 2, size=d), limit)
-        free = rng.random(d) < 0.4
-        lo[free], hi[free] = 0, limit
-        moved = int(rng.integers(0, d))
-        lo[moved] = np.clip(anchor[moved] + rng.integers(-2, 3), 0, limit)
-        hi[moved] = min(lo[moved] + int(rng.integers(0, 2)), limit)
-        start = int(rng.integers(0, m + 1))
-        stop = int(rng.integers(start, m + 1))
-        np.testing.assert_array_equal(
-            impl.box_scan(level, lo, hi, start, stop),
-            reference.box_scan(level, lo, hi, start, stop),
-        )
-
-    @given(level=level_views(), seed=st.integers(0, 10_000))
-    @example(level=ONE_AXIS_LEVEL, seed=0)
-    @example(level=TWO_WORD_LEVEL, seed=1)
-    @example(level=THREE_WORD_LEVEL, seed=2)
-    @example(level=DENSE_LEVEL, seed=3)
-    @example(level=WIDE_FIELD_LEVEL, seed=4)
-    @settings(max_examples=40, deadline=None)
     def test_six_region_bit_identical(self, name, level, seed):
         impl = implementation(name)
         rng = np.random.default_rng(seed)

@@ -1,5 +1,7 @@
 """Unit and property tests for normalisation helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,82 @@ class TestApplyMinmax:
         assert np.array_equal(points, before)
         assert not np.shares_memory(out, points)
         assert not np.shares_memory(out, lo) and not np.shares_memory(out, span)
+
+
+class TestMinmaxParams:
+    """The wide-view reduction equals the plain per-column min and max."""
+
+    @staticmethod
+    def _plain(points):
+        lo = points.min(axis=0)
+        return lo, points.max(axis=0) - lo
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 1000, 1031])
+    @pytest.mark.parametrize("d", [1, 3, 15, 70])
+    def test_equals_plain_reductions(self, n, d):
+        points = np.random.default_rng(n * 100 + d).normal(size=(n, d))
+        lo, span = minmax_params(points)
+        expected_lo, expected_span = self._plain(points)
+        assert lo.shape == span.shape == (d,)
+        np.testing.assert_array_equal(lo, expected_lo)
+        np.testing.assert_array_equal(span, expected_span)
+
+    def test_extremes_in_the_tail_rows(self):
+        # 130 rows = two wide rows of 64 plus a 2-row tail holding
+        # every column's minimum and maximum.
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(130, 5))
+        points[128], points[129] = -7.0, 9.0
+        lo, span = minmax_params(points)
+        np.testing.assert_array_equal(lo, np.full(5, -7.0))
+        np.testing.assert_array_equal(span, np.full(5, 16.0))
+
+    def test_empty_input_gives_the_identity_map(self):
+        for d in (0, 4):
+            lo, span = minmax_params(np.zeros((0, d)))
+            np.testing.assert_array_equal(lo, np.zeros(d))
+            np.testing.assert_array_equal(span, np.ones(d))
+        lo, span = minmax_params(np.zeros((200, 0)))
+        assert lo.shape == span.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["c", "fortran", "row_stride", "column_stride", "transposed"],
+    )
+    def test_any_layout_without_a_copy(self, layout):
+        base = np.random.default_rng(9).normal(size=(40_001, 12))
+        points = {
+            "c": base,
+            "fortran": np.asfortranarray(base),
+            "row_stride": base[::3],
+            "column_stride": base[:, ::2],
+            "transposed": np.ascontiguousarray(base[:, :6].T).T,
+        }[layout]
+        expected_lo, expected_span = self._plain(points)
+        tracemalloc.start()
+        try:
+            lo, span = minmax_params(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A copy of the input would be at least points.nbytes.
+        assert peak < points.nbytes / 20
+        np.testing.assert_array_equal(lo, expected_lo)
+        np.testing.assert_array_equal(span, expected_span)
+
+    @pytest.mark.parametrize("n", [50, 64, 200, 257])
+    def test_nan_and_infinities_propagate(self, n):
+        points = np.random.default_rng(n).normal(size=(n, 6))
+        points[n // 3, 0] = np.nan  # in the wide rows when there are any
+        points[n - 1, 1] = np.nan  # in the tail when there is one
+        points[n // 2, 2] = np.inf
+        points[n - 1, 3] = -np.inf
+        points[0, 4], points[n - 1, 4] = np.inf, -np.inf
+        lo, span = minmax_params(points)
+        expected_lo, expected_span = self._plain(points)
+        np.testing.assert_array_equal(lo, expected_lo)
+        np.testing.assert_array_equal(span, expected_span)
+        assert np.isnan(lo[0]) and np.isnan(lo[1])
+        assert span[2] == np.inf and lo[3] == -np.inf and span[4] == np.inf
 
 
 class TestClipUnitCube:
@@ -246,3 +324,57 @@ class TestKernelsReplayTheMap:
             impl.label_rows(raw, lower, upper, group, normalizer),
             reference.label_rows(unit, lower, upper, group),
         )
+
+
+def face_problem(d, seed):
+    """Raw rows and a fitted map whose mapped values hit every case of
+    the row-once labelling pass, and boxes that share faces.
+
+    Axis 0 is fitted on ``[0, 2]``, so a raw 1.0 maps to exactly 0.5:
+    the face that group 0's box (``[0, 0.5]``) shares with group 1's
+    (``[0.5, 1]``).  The last axis is constant (zero span: every value
+    maps to 0.0).  Query rows: the training rows, rows far outside the
+    fitted range (clipped to 0 and to ``nextafter(1, 0)``), rows on the
+    shared face, and rows with a NaN coordinate (noise).
+    """
+    rng = np.random.default_rng(seed)
+    train = rng.uniform(-3.0, 5.0, size=(40, d))
+    train[:, 0] = rng.uniform(0.0, 2.0, 40)
+    train[:2, 0] = 0.0, 2.0
+    if d > 1:
+        train[:, -1] = 4.5
+    lo, span = minmax_params(train)
+    reach = 10.0 * np.maximum(span, 1.0)
+    far = np.vstack([lo - reach, lo + reach])
+    face = train[2:6].copy()
+    face[:, 0] = 1.0
+    nan_rows = train[6:9].copy()
+    # Not on the constant axis: a zero span maps even NaN to 0.0.
+    nan_rows[np.arange(3), rng.integers(0, max(d - 1, 1), 3)] = np.nan
+    raw = np.vstack([train, far, face, nan_rows])
+    lower, upper = np.zeros((3, d)), np.ones((3, d))
+    upper[0, 0] = 0.5  # group 0: axis 0 in [0, 0.5]
+    lower[1, 0] = 0.5  # group 1: axis 0 in [0.5, 1], face shared with 0
+    lower[2, 0] = 0.9  # group 1, a second member box
+    if d > 1:
+        lower[0, -1] = upper[0, -1] = 0.0  # the constant axis maps to 0.0
+    box_group = np.array([0, 1, 1], dtype=np.int64)
+    return raw, (lo, span), lower, upper, box_group
+
+
+@pytest.mark.parametrize("name", KERNEL_IMPLS)
+@pytest.mark.parametrize("d", [1, 2, 15, 64, 70])
+def test_row_once_labelling_with_a_normalizer(name, d):
+    raw, normalizer, lower, upper, box_group = face_problem(d, seed=d)
+    labels = kernel_impl(name).label_rows(raw, lower, upper, box_group, normalizer)
+    unit = apply_minmax(raw, *normalizer)
+    expected = reference.label_rows(unit, lower, upper, box_group)
+    assert labels.tobytes() == expected.tobytes()
+    # Far below the range clips to 0.0 (group 0), far above to just
+    # under 1.0 (group 1); the shared face goes to the lower group, and
+    # NaN rows are noise.
+    assert labels[40:42].tolist() == [0, 1]
+    assert unit[42:46, 0].tolist() == [0.5] * 4
+    assert labels[42:46].tolist() == [0] * 4
+    assert labels[46:49].tolist() == [-1] * 3
+    assert set(labels[:40].tolist()) == {0, 1}

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.beta_cluster import find_beta_clusters, reference_find_beta_clusters
-from repro.core.convolution import overlap_mask, overlap_rows
+from repro.core.convolution import _axis_intervals, overlap_mask, rows_covered
 from repro.core.correlation_cluster import build_correlation_clusters
 from repro.core.counting_tree import (
     CountingTree,
@@ -100,18 +100,37 @@ class TestIncrementalSearchEquivalence:
 
     @pytest.mark.parametrize("seed", [3, 4, 5, 6])
     def test_overlap_rows_matches_overlap_mask(self, seed):
+        # The lazy search's covered-row test flags, for one box, the
+        # cells overlap_mask flags, and for several boxes their union.
         rng = np.random.default_rng(seed)
         points = _clustered_points(rng, 1500, 6)
         tree = CountingTree(points, n_resolutions=4)
+        boxes = []
         for _ in range(20):
             lower = np.where(rng.random(6) < 0.5, 0.0, rng.uniform(0, 0.9, 6))
             upper = np.where(rng.random(6) < 0.5, 1.0, lower + rng.uniform(0, 0.4, 6))
             upper = np.minimum(np.maximum(upper, lower), 1.0)
+            boxes.append((lower, upper))
             for h in tree.levels:
                 level = tree.level(h)
                 expected = np.flatnonzero(overlap_mask(level, lower, upper))
-                actual = np.sort(overlap_rows(level, lower, upper))
-                np.testing.assert_array_equal(actual, expected)
+                np.testing.assert_array_equal(
+                    _covered_rows(level, [(lower, upper)]), expected
+                )
+        for h in tree.levels:
+            level = tree.level(h)
+            union = np.zeros(level.n_cells, dtype=bool)
+            for lower, upper in boxes:
+                union |= overlap_mask(level, lower, upper)
+            np.testing.assert_array_equal(
+                _covered_rows(level, boxes), np.flatnonzero(union)
+            )
+            # Any subset of rows, in any order, gets the same answer.
+            rows = rng.permutation(level.n_cells)[: level.n_cells // 2]
+            lo, hi = _intervals(level, boxes)
+            np.testing.assert_array_equal(
+                rows_covered(level, rows, lo, hi), union[rows]
+            )
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -143,7 +162,7 @@ class TestIncrementalSearchEquivalence:
                 lower[whole] = rng.choice([-0.5, 0.0])
                 upper[whole] = rng.choice([1.0, 1.5])
                 expected = np.flatnonzero(overlap_mask(level, lower, upper))
-                actual = np.sort(overlap_rows(level, lower, upper))
+                actual = _covered_rows(level, [(lower, upper)])
                 np.testing.assert_array_equal(actual, expected)
                 hits += expected.size
         assert hits > 0
@@ -163,8 +182,23 @@ class TestIncrementalSearchEquivalence:
             expected = np.flatnonzero(overlap_mask(level, lower, upper))
             assert (expected.size > 0) == meets
             np.testing.assert_array_equal(
-                np.sort(overlap_rows(level, lower, upper)), expected
+                _covered_rows(level, [(lower, upper)]), expected
             )
+
+
+def _intervals(level, boxes):
+    """``(k, d)`` interval bounds of the boxes that meet ``level``."""
+    met = [_axis_intervals(level, lower, upper) for lower, upper in boxes]
+    met = [interval for interval in met if interval is not None]
+    lo = np.array([lo for lo, _ in met], dtype=np.int64).reshape(-1, level.d)
+    hi = np.array([hi for _, hi in met], dtype=np.int64).reshape(-1, level.d)
+    return lo, hi
+
+
+def _covered_rows(level, boxes):
+    """Rows of every cell the covered-row test puts under ``boxes``."""
+    rows = np.arange(level.n_cells, dtype=np.int64)
+    return rows[rows_covered(level, rows, *_intervals(level, boxes))]
 
 
 def _fine_tree_points():
