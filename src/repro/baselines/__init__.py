@@ -6,24 +6,22 @@ package re-implements each from its original publication behind the
 common :class:`~repro.baselines.base.SubspaceClusterer` interface
 (DESIGN.md substitution #2).
 
-Extras beyond the paper's comparison — PROCLUS, CLIQUE, DOC and a
-bounded-time STATPC approximation — cover the related-work methods the
-paper discusses and feed the extension benches.
+Extras beyond the paper's comparison — PROCLUS, ORCLUS and CLIQUE —
+cover related-work methods the paper discusses and feed the extension
+benches.  STATPC is not implemented: the paper reports it never
+finished.  Every baseline turns its final labels into a result through
+:func:`~repro.baselines.common.result_from_labels`.
 """
 
 from repro.baselines.base import SubspaceClusterer
 from repro.baselines.cfpc import CFPC
 from repro.baselines.clique import CLIQUE
-from repro.baselines.doc import DOC
 from repro.baselines.epch import EPCH
 from repro.baselines.harp import HARP
 from repro.baselines.lac import LAC
-from repro.baselines.oci import OCI
 from repro.baselines.orclus import ORCLUS
 from repro.baselines.p3c import P3C
 from repro.baselines.proclus import PROCLUS
-from repro.baselines.ric import RIC
-from repro.baselines.statpc_lite import StatPCLite
 
 __all__ = [
     "SubspaceClusterer",
@@ -35,8 +33,4 @@ __all__ = [
     "PROCLUS",
     "ORCLUS",
     "CLIQUE",
-    "DOC",
-    "OCI",
-    "RIC",
-    "StatPCLite",
 ]

@@ -26,11 +26,6 @@ from repro.core.contracts import (
 from repro.core.convolution import convolve_level
 from repro.core.counting_tree import CountingTree
 from repro.core.correlation_cluster import build_correlation_clusters
-from repro.core.diagnostics import (
-    cluster_diagnostics,
-    membership_confidence,
-    tree_profile,
-)
 from repro.core.hypothesis_test import critical_value, neighborhood_counts
 from repro.core.mdl import mdl_cut_threshold
 from repro.core.mrcc import MrCC
@@ -57,9 +52,6 @@ __all__ = [
     "build_correlation_clusters",
     "MrCC",
     "SoftMrCC",
-    "tree_profile",
-    "cluster_diagnostics",
-    "membership_confidence",
     "TreeStreamBuilder",
     "build_tree_from_chunks",
     "fit_stream",

@@ -1,6 +1,6 @@
 """Contract tests every clustering algorithm in the package must honour.
 
-Parametrised over MrCC and all nine baselines: output invariants
+Parametrised over MrCC and all eight baselines: output invariants
 (label compactness, labels/clusters agreement, noise handling) and
 reproducibility for a fixed seed.
 """
@@ -11,13 +11,12 @@ import pytest
 from repro.baselines import (
     CFPC,
     CLIQUE,
-    DOC,
     EPCH,
     HARP,
     LAC,
+    ORCLUS,
     P3C,
     PROCLUS,
-    StatPCLite,
 )
 from repro.core.mrcc import MrCC
 from repro.types import NOISE_LABEL
@@ -38,8 +37,9 @@ def _methods():
         ),
         pytest.param(lambda: PROCLUS(n_clusters=K, avg_dims=3), id="PROCLUS"),
         pytest.param(lambda: CLIQUE(), id="CLIQUE"),
-        pytest.param(lambda: DOC(n_clusters=K, random_state=0), id="DOC"),
-        pytest.param(lambda: StatPCLite(random_state=0), id="STATPC-lite"),
+        pytest.param(
+            lambda: ORCLUS(n_clusters=K, subspace_dim=3, random_state=0), id="ORCLUS"
+        ),
     ]
 
 

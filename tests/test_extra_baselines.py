@@ -1,10 +1,9 @@
-"""Behavioural tests for the related-work extras: PROCLUS, CLIQUE, DOC,
-STATPC-lite."""
+"""Behavioural tests for the related-work extras: PROCLUS and CLIQUE."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import CLIQUE, DOC, PROCLUS, StatPCLite
+from repro.baselines import CLIQUE, PROCLUS
 from repro.evaluation.quality import quality
 
 
@@ -66,49 +65,3 @@ class TestCLIQUE:
         points = rng.uniform(0, 1, size=(800, 4))
         result = CLIQUE(xi=8, tau=0.05, max_subspace_dim=3).fit(points)
         assert result.n_clusters <= 2
-
-
-class TestDOC:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError, match="w"):
-            DOC(n_clusters=1, w=1.5)
-
-    def test_recovers_planted_box(self, single_cluster_points):
-        points, labels = single_cluster_points
-        result = DOC(n_clusters=1, w=0.08, random_state=0).fit(points)
-        assert result.n_clusters == 1
-        assert {1, 3} <= result.clusters[0].relevant_axes
-
-    def test_quality_model_prefers_bigger_boxes(self, easy_dataset):
-        result = DOC(n_clusters=3, random_state=0).fit(easy_dataset.points)
-        assert quality(result.clusters, easy_dataset.clusters) > 0.5
-
-    def test_monte_carlo_is_seeded(self, easy_dataset):
-        a = DOC(n_clusters=2, random_state=7).fit(easy_dataset.points)
-        b = DOC(n_clusters=2, random_state=7).fit(easy_dataset.points)
-        assert np.array_equal(a.labels, b.labels)
-
-
-class TestStatPCLite:
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError, match="alpha_stat"):
-            StatPCLite(alpha_stat=0.0)
-
-    def test_finds_significant_regions(self, single_cluster_points):
-        points, _ = single_cluster_points
-        result = StatPCLite(random_state=0).fit(points)
-        assert result.n_clusters >= 1
-        best = max(result.clusters, key=lambda c: c.size)
-        assert {1, 3} & best.relevant_axes
-
-    def test_candidate_budget_bounds_regions(self, easy_dataset):
-        result = StatPCLite(n_candidates=5, random_state=0).fit(
-            easy_dataset.points
-        )
-        assert result.extras["n_regions"] <= 5
-
-    def test_uniform_noise_yields_no_regions(self):
-        rng = np.random.default_rng(2)
-        points = rng.uniform(0, 1, size=(1000, 5))
-        result = StatPCLite(random_state=0).fit(points)
-        assert result.n_clusters <= 1
