@@ -31,7 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import SubspaceClusterer
-from repro.types import NOISE_LABEL, ClusteringResult, SubspaceCluster
+from repro.baselines.common import result_from_labels
+from repro.types import NOISE_LABEL, ClusteringResult
 
 
 class CFPC(SubspaceClusterer):
@@ -90,7 +91,7 @@ class CFPC(SubspaceClusterer):
         n, d = points.shape
         rng = np.random.default_rng(self.random_state)
         labels = np.full(n, NOISE_LABEL, dtype=np.int64)
-        clusters: list[SubspaceCluster] = []
+        axes_of: dict[int, tuple[int, ...]] = {}
         trials_left = max(self.maxout, self.n_clusters)
 
         for cluster_id in range(self.n_clusters):
@@ -109,24 +110,18 @@ class CFPC(SubspaceClusterer):
                     continue
                 quality, axes, member_mask = candidate
                 if best is None or quality > best[0]:
-                    best = (quality, axes, member_mask, int(medoid_idx))
+                    best = (quality, axes, member_mask)
             if best is None:
                 continue
-            _, axes, member_mask, medoid_idx = best
-            members = remaining[member_mask]
-            labels[members] = cluster_id
-            clusters.append(SubspaceCluster.from_iterables(members, axes))
+            _, axes, member_mask = best
+            labels[remaining[member_mask]] = cluster_id
+            axes_of[cluster_id] = axes
 
-        labels = self._compact(labels, clusters)
-        clusters = [
-            SubspaceCluster.from_iterables(
-                np.flatnonzero(labels == i), cluster.relevant_axes
-            )
-            for i, cluster in enumerate(clusters)
-        ]
-        return ClusteringResult(
-            labels=labels,
-            clusters=clusters,
+        # An iteration that mines nothing leaves a gap in the ids; the
+        # compaction closes it.
+        return result_from_labels(
+            labels,
+            axes_of.__getitem__,
             extras={"trials_used": max(self.maxout, self.n_clusters) - trials_left},
         )
 
@@ -175,11 +170,3 @@ class CFPC(SubspaceClusterer):
         if best["mask"] is None:
             return None
         return best["quality"], best["axes"], best["mask"]
-
-    @staticmethod
-    def _compact(labels: np.ndarray, clusters: list) -> np.ndarray:
-        """Renumber labels ``0..len(clusters)-1`` preserving order."""
-        out = np.full(labels.shape, NOISE_LABEL, dtype=np.int64)
-        for new_id in range(len(clusters)):
-            out[labels == new_id] = new_id
-        return out

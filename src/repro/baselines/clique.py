@@ -26,7 +26,8 @@ from itertools import combinations
 import numpy as np
 
 from repro.baselines.base import SubspaceClusterer
-from repro.types import NOISE_LABEL, ClusteringResult, SubspaceCluster
+from repro.baselines.common import result_from_labels
+from repro.types import NOISE_LABEL, ClusteringResult
 
 
 class CLIQUE(SubspaceClusterer):
@@ -87,11 +88,10 @@ class CLIQUE(SubspaceClusterer):
             current = self._prune(current)
             all_levels.update(current)
 
-        clusters = self._components(all_levels)
-        labels, final = self._partition(n, clusters)
-        return ClusteringResult(
-            labels=labels,
-            clusters=final,
+        labels, ranked = self._partition(n, self._components(all_levels))
+        return result_from_labels(
+            labels,
+            lambda rank: ranked[rank][0],
             extras={"n_dense_subspaces": len(all_levels), "min_count": min_count},
         )
 
@@ -192,18 +192,15 @@ class CLIQUE(SubspaceClusterer):
 
     @staticmethod
     def _partition(n, clusters):
-        """Assign points to their highest-dimensional covering cluster."""
-        order = sorted(
-            range(len(clusters)),
-            key=lambda i: (-len(clusters[i][0]), -int(clusters[i][1].sum())),
-        )
+        """Assign points to their highest-dimensional covering cluster.
+
+        Returns the labels, each the rank of the point's cluster, and
+        the clusters in rank order (higher-dimensional, then larger,
+        first); a cluster whose every point a higher-ranked cluster
+        already took holds no label.
+        """
+        ranked = sorted(clusters, key=lambda c: (-len(c[0]), -int(c[1].sum())))
         labels = np.full(n, NOISE_LABEL, dtype=np.int64)
-        final: list[SubspaceCluster] = []
-        for i in order:
-            subspace, mask = clusters[i]
-            members = np.flatnonzero(mask & (labels == NOISE_LABEL))
-            if members.size == 0:
-                continue
-            labels[members] = len(final)
-            final.append(SubspaceCluster.from_iterables(members, subspace))
-        return labels, final
+        for rank, (_, mask) in enumerate(ranked):
+            labels[mask & (labels == NOISE_LABEL)] = rank
+        return labels, ranked

@@ -14,7 +14,7 @@ def kmeanspp_seeds(
 ) -> np.ndarray:
     """k-means++ seeding: indices of ``k`` well-spread points.
 
-    Used by the iterative methods (LAC, PROCLUS, DOC medoid pools) so a
+    Used by the iterative methods (LAC, PROCLUS, ORCLUS) so a
     bad uniform draw cannot place every seed inside one cluster.
     """
     n = points.shape[0]
@@ -33,31 +33,6 @@ def kmeanspp_seeds(
     return np.asarray(seeds, dtype=np.int64)
 
 
-def _first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Compact ids by first appearance, plus the original of each id.
-
-    Returns ``(compact, originals)``: non-noise labels map onto
-    ``0..k-1`` in the order their first point appears, noise stays -1,
-    and ``originals[j]`` is the label that became ``j``.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    clustered = labels != NOISE_LABEL
-    originals, first, inverse = np.unique(
-        labels[clustered], return_index=True, return_inverse=True
-    )
-    by_appearance = np.argsort(first)
-    new_id = np.empty_like(by_appearance)
-    new_id[by_appearance] = np.arange(by_appearance.size)
-    compact = np.full(labels.shape, NOISE_LABEL, dtype=np.int64)
-    compact[clustered] = new_id[inverse]
-    return compact, originals[by_appearance]
-
-
-def relabel_compact(labels: np.ndarray) -> np.ndarray:
-    """Map arbitrary non-noise labels onto ``0..k-1``, keeping noise at -1."""
-    return _first_appearance(labels)[0]
-
-
 def result_from_labels(
     labels: np.ndarray,
     axes_for_label: Callable[[int], Iterable[int]],
@@ -65,10 +40,17 @@ def result_from_labels(
 ) -> ClusteringResult:
     """Build a :class:`ClusteringResult` from labels plus an axis lookup.
 
-    ``axes_for_label`` maps an *original* (pre-compaction) label to an
-    iterable of relevant axes; empty clusters vanish during compaction.
+    The one path from a baseline's final labels to its result.  Labels
+    that hold a point become ``0..k-1`` in ascending order of their
+    original value (one ``np.unique``); noise stays -1 and a label no
+    point carries vanishes.  ``axes_for_label`` maps an *original*
+    label to an iterable of relevant axes.
     """
-    compact, originals = _first_appearance(labels)
+    labels = np.asarray(labels, dtype=np.int64)
+    clustered = labels != NOISE_LABEL
+    originals, inverse = np.unique(labels[clustered], return_inverse=True)
+    compact = np.full(labels.shape, NOISE_LABEL, dtype=np.int64)
+    compact[clustered] = inverse
     clusters = records_from_labels(
         compact, [axes_for_label(int(original)) for original in originals]
     )

@@ -31,7 +31,8 @@ from itertools import combinations
 import numpy as np
 
 from repro.baselines.base import SubspaceClusterer
-from repro.types import NOISE_LABEL, ClusteringResult, SubspaceCluster
+from repro.baselines.common import result_from_labels
+from repro.types import NOISE_LABEL, ClusteringResult
 
 _NO_REGION = -1
 
@@ -110,27 +111,9 @@ class EPCH(SubspaceClusterer):
                 break
             prototypes = refined
             labels, assigned = self._associate(signatures, prototypes)
-        clusters = [
-            SubspaceCluster.from_iterables(
-                np.flatnonzero(labels == c),
-                self._covered_axes(prototypes[c], subspaces),
-            )
-            for c in range(len(prototypes))
-        ]
-        keep = [i for i, c in enumerate(clusters) if c.size > 0]
-        remap = {old: new for new, old in enumerate(keep)}
-        labels = np.asarray(
-            [remap.get(int(lab), NOISE_LABEL) for lab in labels], dtype=np.int64
-        )
-        clusters = [
-            SubspaceCluster.from_iterables(
-                np.flatnonzero(labels == new), clusters[old].relevant_axes
-            )
-            for old, new in sorted(remap.items(), key=lambda kv: kv[1])
-        ]
-        return ClusteringResult(
-            labels=labels,
-            clusters=clusters,
+        return result_from_labels(
+            labels,
+            lambda c: self._covered_axes(prototypes[c], subspaces),
             extras={
                 "n_histograms": len(subspaces),
                 "regions_per_histogram": region_counts,

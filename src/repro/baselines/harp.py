@@ -32,7 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import SubspaceClusterer
-from repro.types import NOISE_LABEL, ClusteringResult, SubspaceCluster
+from repro.baselines.common import result_from_labels
+from repro.types import NOISE_LABEL, ClusteringResult
 
 _NEG = -np.inf
 
@@ -99,28 +100,21 @@ class HARP(SubspaceClusterer):
         labels = self._attach_rest(points, labels, member_lists, sample, selected_dims)
         labels = self._discard_noise(points, labels, len(member_lists))
 
-        clusters = []
-        for cluster_id in range(len(member_lists)):
-            members = np.flatnonzero(labels == cluster_id)
-            if members.size == 0:
-                continue
+        def final_dims(cluster_id: int) -> list[int]:
             # Select dimensions from the final membership: the noise
             # discard and the attachment of unsampled points sharpen
             # the per-axis variances considerably.
-            sub = points[members]
-            dims = self._selected_dims(
-                float(members.size),
+            sub = points[labels == cluster_id]
+            return self._selected_dims(
+                float(sub.shape[0]),
                 sub.sum(axis=0),
                 (sub**2).sum(axis=0),
                 global_var,
                 r_min=0.0,
             )
-            clusters.append(SubspaceCluster.from_iterables(members, dims))
-        labels = self._compact(labels, len(member_lists))
-        return ClusteringResult(
-            labels=labels,
-            clusters=self._rebuild(labels, clusters),
-            extras={"n_agglomerated": int(sample.size)},
+
+        return result_from_labels(
+            labels, final_dims, extras={"n_agglomerated": int(sample.size)}
         )
 
     # ------------------------------------------------------------------
@@ -284,23 +278,3 @@ class HARP(SubspaceClusterer):
             worst = np.argsort(-fit)[:n_noise]
             labels[worst] = NOISE_LABEL
         return labels
-
-    @staticmethod
-    def _compact(labels, k):
-        out = np.full(labels.shape, NOISE_LABEL, dtype=np.int64)
-        next_id = 0
-        for cluster_id in range(k):
-            members = labels == cluster_id
-            if np.any(members):
-                out[members] = next_id
-                next_id += 1
-        return out
-
-    @staticmethod
-    def _rebuild(labels, clusters):
-        return [
-            SubspaceCluster.from_iterables(
-                np.flatnonzero(labels == i), cluster.relevant_axes
-            )
-            for i, cluster in enumerate(clusters)
-        ]

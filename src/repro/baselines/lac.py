@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import SubspaceClusterer
-from repro.baselines.common import kmeanspp_seeds
-from repro.types import ClusteringResult, SubspaceCluster
+from repro.baselines.common import kmeanspp_seeds, result_from_labels
+from repro.types import ClusteringResult
 
 
 class LAC(SubspaceClusterer):
@@ -82,26 +82,11 @@ class LAC(SubspaceClusterer):
             if changed <= self.tol * n:
                 break
 
-        clusters = [
-            SubspaceCluster.from_iterables(
-                np.flatnonzero(labels == c), self._weighted_axes(weights[c], d)
-            )
-            for c in range(k)
-        ]
         # LAC yields a full partition; empty clusters (possible when k
         # exceeds the natural structure) are dropped from the report.
-        nonempty = [c for c in clusters if c.size > 0]
-        remap = {old: new for new, old in enumerate(
-            c for c in range(k) if clusters[c].size > 0)}
-        labels = np.asarray([remap[int(lab)] for lab in labels], dtype=np.int64)
-        return ClusteringResult(
-            labels=labels,
-            clusters=[
-                SubspaceCluster.from_iterables(
-                    np.flatnonzero(labels == i), cluster.relevant_axes
-                )
-                for i, cluster in enumerate(nonempty)
-            ],
+        return result_from_labels(
+            labels,
+            lambda c: self._weighted_axes(weights[c], d),
             extras={"n_iter": n_iter, "weights": weights},
         )
 

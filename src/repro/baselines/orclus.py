@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import SubspaceClusterer
-from repro.baselines.common import kmeanspp_seeds
-from repro.types import NOISE_LABEL, ClusteringResult, SubspaceCluster
+from repro.baselines.common import kmeanspp_seeds, result_from_labels
+from repro.types import ClusteringResult
 
 
 class ORCLUS(SubspaceClusterer):
@@ -100,19 +100,9 @@ class ORCLUS(SubspaceClusterer):
                 k_current -= 1
             l_current = max(l_new, l_target)
 
-        labels = self._assign(points, centroids, bases)
-        clusters = []
-        final = np.full(n, NOISE_LABEL, dtype=np.int64)
-        for c in range(centroids.shape[0]):
-            members = np.flatnonzero(labels == c)
-            if members.size == 0:
-                continue
-            axes = self._loaded_axes(bases[c], points.shape[1])
-            final[members] = len(clusters)
-            clusters.append(SubspaceCluster.from_iterables(members, axes))
-        return ClusteringResult(
-            labels=final,
-            clusters=clusters,
+        return result_from_labels(
+            self._assign(points, centroids, bases),
+            lambda c: self._loaded_axes(bases[c], d),
             extras={"subspace_dim": l_target, "bases": bases},
         )
 

@@ -33,7 +33,8 @@ import numpy as np
 from scipy import stats
 
 from repro.baselines.base import SubspaceClusterer
-from repro.types import NOISE_LABEL, ClusteringResult, SubspaceCluster
+from repro.baselines.common import result_from_labels
+from repro.types import NOISE_LABEL, ClusteringResult
 
 _CHI2_PVALUE = 1e-3
 """Significance for the bin-uniformity chi-square test (paper's setup)."""
@@ -102,10 +103,10 @@ class P3C(SubspaceClusterer):
 
         cores = self._cluster_cores(bins, intervals, n)
         labels = self._refine(points, bins, cores)
-        clusters = self._clusters_from(labels, cores)
-        return ClusteringResult(
-            labels=labels,
-            clusters=clusters,
+        # Cores the refinement emptied are dropped.
+        return result_from_labels(
+            labels,
+            lambda c: {iv.attribute for iv in cores[c][0]},
             extras={
                 "n_intervals": len(intervals),
                 "n_cores": len(cores),
@@ -250,24 +251,3 @@ class P3C(SubspaceClusterer):
             means.append(members.mean(axis=0))
             stds.append(np.maximum(members.std(axis=0), 1e-9))
         return means, stds
-
-    @staticmethod
-    def _clusters_from(labels, cores) -> list[SubspaceCluster]:
-        """Assemble the result clusters, dropping emptied cores."""
-        clusters: list[SubspaceCluster] = []
-        kept = 0
-        remap: dict[int, int] = {}
-        for c, (signature, _) in enumerate(cores):
-            members = np.flatnonzero(labels == c)
-            if members.size == 0:
-                continue
-            remap[c] = kept
-            clusters.append(
-                SubspaceCluster.from_iterables(
-                    members, {iv.attribute for iv in signature}
-                )
-            )
-            kept += 1
-        for i, lab in enumerate(labels):
-            labels[i] = remap.get(int(lab), NOISE_LABEL)
-        return clusters

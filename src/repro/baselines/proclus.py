@@ -25,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import SubspaceClusterer
-from repro.baselines.common import kmeanspp_seeds
-from repro.types import NOISE_LABEL, ClusteringResult, SubspaceCluster
+from repro.baselines.common import kmeanspp_seeds, result_from_labels
+from repro.types import NOISE_LABEL, ClusteringResult
 
 
 class PROCLUS(SubspaceClusterer):
@@ -96,18 +96,8 @@ class PROCLUS(SubspaceClusterer):
             points, medoids
         )
         labels = self._mark_outliers(points, medoids, labels, dims)
-        clusters = []
-        final_labels = np.full(n, NOISE_LABEL, dtype=np.int64)
-        next_id = 0
-        for c in range(k):
-            members = np.flatnonzero(labels == c)
-            if members.size == 0:
-                continue
-            final_labels[members] = next_id
-            clusters.append(SubspaceCluster.from_iterables(members, dims[c]))
-            next_id += 1
-        return ClusteringResult(
-            labels=final_labels, clusters=clusters, extras={"cost": best_cost}
+        return result_from_labels(
+            labels, dims.__getitem__, extras={"cost": best_cost}
         )
 
     def _find_dimensions(

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.common import (
-    kmeanspp_seeds,
-    relabel_compact,
-    result_from_labels,
-)
+from repro.baselines.common import kmeanspp_seeds, result_from_labels
 from repro.types import NOISE_LABEL
 
 
@@ -40,19 +36,24 @@ class TestKmeansppSeeds:
         assert seeds.shape == (3,)
 
 
+def _compact(labels):
+    """The labels ``result_from_labels`` compacts ``labels`` to."""
+    return result_from_labels(labels, axes_for_label=lambda lab: []).labels
+
+
 class TestRelabelCompact:
     def test_compacts_sparse_labels(self):
         labels = np.array([7, 7, 2, NOISE_LABEL, 2, 9])
-        out = relabel_compact(labels)
-        assert out.tolist() == [0, 0, 1, NOISE_LABEL, 1, 2]
+        assert _compact(labels).tolist() == [1, 1, 0, NOISE_LABEL, 0, 2]
 
     def test_noise_preserved(self):
         labels = np.array([NOISE_LABEL, NOISE_LABEL])
-        assert relabel_compact(labels).tolist() == [NOISE_LABEL, NOISE_LABEL]
+        assert _compact(labels).tolist() == [NOISE_LABEL, NOISE_LABEL]
+        assert result_from_labels(labels, lambda lab: []).clusters == []
 
-    def test_order_of_first_appearance(self):
+    def test_ascending_original_order(self):
         labels = np.array([5, 1, 5, 0])
-        assert relabel_compact(labels).tolist() == [0, 1, 0, 2]
+        assert _compact(labels).tolist() == [2, 1, 2, 0]
 
 
 class TestResultFromLabels:
