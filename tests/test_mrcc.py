@@ -22,6 +22,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="n_resolutions"):
             MrCC(n_resolutions=2)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_bounds_are_open(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            MrCC(alpha=alpha)
+
+    def test_defaults_are_the_papers_settings(self):
+        """α = 1e-10 and H = 4, the values Section IV fixes for every run."""
+        model = MrCC()
+        assert (model.alpha, model.n_resolutions) == (1e-10, 4)
+
     def test_rejects_1d_input(self):
         with pytest.raises(ValueError, match="2-d"):
             MrCC().fit(np.zeros(5))

@@ -55,6 +55,13 @@ class TestBuildTreeFromChunks:
         for h in one.levels:
             assert _levels_equal(one.level(h), many.level(h))
 
+    def test_chunk_order_is_irrelevant(self, stream_dataset):
+        chunks = np.array_split(stream_dataset.points, 7)
+        forward = build_tree_from_chunks(chunks)
+        backward = build_tree_from_chunks(chunks[::-1])
+        for h in forward.levels:
+            assert _levels_equal(forward.level(h), backward.level(h))
+
     def test_empty_chunks_are_skipped(self, stream_dataset):
         chunks = [np.empty((0, 7)), stream_dataset.points, np.empty((0, 7))]
         tree = build_tree_from_chunks(chunks)
@@ -125,6 +132,15 @@ class TestStreamFailurePaths:
         bad[3, 0] = np.nan
         with pytest.raises(ContractError, match=r"chunks\[1\]"):
             label_stream([stream_dataset.points[:8], bad], betas)
+
+    @pytest.mark.parametrize("chunks", [[], [np.empty((0, 7))]], ids=["none", "empty"])
+    def test_label_stream_of_no_points(self, stream_dataset, chunks):
+        _, betas = fit_stream(np.array_split(stream_dataset.points, 2))
+        result = label_stream(chunks, betas)
+        assert result.labels.shape == (0,)
+        assert result.labels.dtype == np.int64
+        assert result.n_clusters >= 1
+        assert all(cluster.size == 0 for cluster in result.clusters)
 
     def test_build_requires_points(self):
         with pytest.raises(ValueError, match="no points"):
